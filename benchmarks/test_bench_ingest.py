@@ -15,13 +15,16 @@ detector counters), then the columnar path must clear ``MIN_SPEEDUP`` on
 the compact binary format (the realistic embedded-trace encoding whose
 object decode is dominated by per-event materialisation).  The JSON-lines
 numbers are printed for the trajectory record; JSON parsing itself
-dominates both paths there, so no floor is asserted.
+dominates both paths there, so no floor is asserted.  Decode throughput
+(MB/s per format) and the windows/s rates are archived in the benchmark's
+``extra_info``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from functools import partial
 
 import pytest
 
@@ -138,7 +141,19 @@ def test_columnar_ingest_speedup(ingest_setup, benchmark):
             "pipelined": n_windows / prefetch_s,
         }
 
+    # Decode alone (file bytes -> columns), the stage the ingest plane is
+    # bound by; archived with the windows/s rates.
+    decode_mb_per_s = {
+        fmt: path.stat().st_size / best_of(partial(read_trace_columns, path)) / 1e6
+        for fmt, path in paths.items()
+    }
+
     benchmark(lambda: run_columnar_path(model, paths["binary"]).n_windows)
+    benchmark.extra_info.update(
+        windows=n_windows,
+        windows_per_s=rates,
+        decode_mb_per_s=decode_mb_per_s,
+    )
 
     print()
     for fmt, row in rates.items():
@@ -147,7 +162,8 @@ def test_columnar_ingest_speedup(ingest_setup, benchmark):
         print(
             f"{fmt:>6}: object {row['object']:,.0f} w/s | "
             f"columnar {row['columnar']:,.0f} w/s ({speedup:.2f}x) | "
-            f"pipelined {row['pipelined']:,.0f} w/s ({pipelined:.2f}x)"
+            f"pipelined {row['pipelined']:,.0f} w/s ({pipelined:.2f}x) | "
+            f"decode {decode_mb_per_s[fmt]:.1f} MB/s"
         )
 
     binary_speedup = max(

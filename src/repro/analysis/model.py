@@ -90,7 +90,9 @@ class ReferenceModel:
     # Learning
     # ------------------------------------------------------------------ #
     def learn(
-        self, windows: Iterable[TraceWindow], registry: EventTypeRegistry
+        self,
+        windows: Iterable[TraceWindow] | WindowBatch,
+        registry: EventTypeRegistry,
     ) -> "ReferenceModel":
         """Fit the model from reference windows.
 
@@ -100,32 +102,42 @@ class ReferenceModel:
         simply falls outside the reference support, pushing them away from
         the reference points, which is the desired behaviour.
 
+        ``windows`` may also be one :class:`~repro.trace.batch.WindowBatch`
+        already coded against ``registry`` (e.g.
+        :func:`~repro.trace.stream.reference_batch` over decoded columns), so
+        learning needs no event objects.  Window objects are coded into such
+        a batch first, so both inputs learn the same model; every window,
+        including one later dropped by ``min_events_per_window``, registers
+        its event types.
+
         Calling :meth:`learn` again on a fitted model routes the windows into
         :meth:`adapt` — the running index absorbs them incrementally instead
         of being refit from scratch.
         """
         if self.is_fitted:
+            if isinstance(windows, WindowBatch):
+                windows = windows.to_windows()
             return self.adapt(windows, registry)
-        usable: list[TraceWindow] = []
-        for window in windows:
-            self._n_windows_seen += 1
-            if len(window) < max(self.min_events_per_window, 1):
-                continue
-            usable.append(window)
-        if len(usable) <= self.k_neighbours:
-            raise ModelError(
-                "not enough usable reference windows "
-                f"({len(usable)}) for K={self.k_neighbours}; use a longer reference trace"
+        if not isinstance(windows, WindowBatch):
+            windows = WindowBatch.from_windows(
+                list(windows), registry, keep_windows=False
             )
-        self._n_windows_used = len(usable)
+        self._n_windows_seen += len(windows)
         # One vectorized pass: columnar batch -> counts matrix -> row-normalised
         # probability points, instead of one Pmf object per window.
-        batch = WindowBatch.from_windows(usable, registry, keep_windows=False)
+        usable = windows.event_counts >= max(self.min_events_per_window, 1)
+        counts_matrix = pmf_matrix(windows, registry)[usable]
+        n_usable = len(counts_matrix)
+        if n_usable <= self.k_neighbours:
+            raise ModelError(
+                "not enough usable reference windows "
+                f"({n_usable}) for K={self.k_neighbours}; use a longer reference trace"
+            )
+        self._n_windows_used = n_usable
         self._type_names = registry.names
-        counts_matrix = pmf_matrix(batch, registry)
         totals = counts_matrix.sum(axis=1)
         points = counts_matrix / totals[:, None]
-        counts = counts_matrix.sum(axis=0) / len(usable)
+        counts = counts_matrix.sum(axis=0) / n_usable
         if self.deduplicate:
             # Exactly duplicated reference points make the LOF densities
             # degenerate (k-distance collapses to zero and every slightly

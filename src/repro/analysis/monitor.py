@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from ..config import DetectorConfig, MonitorConfig
 from ..errors import ModelError
 from ..logging_util import get_logger
@@ -32,7 +30,7 @@ from ..trace.stream import (
     TraceStream,
     batches_from_layout,
     column_windows_by_duration,
-    materialize_layout_windows,
+    reference_batch,
 )
 from ..trace.streaming import StreamRecipe, StreamingWindowSource, StreamStats
 from ..trace.window import TraceWindow
@@ -295,8 +293,10 @@ class TraceMonitor:
     # ------------------------------------------------------------------ #
     # Learning
     # ------------------------------------------------------------------ #
-    def learn_reference(self, windows: Iterable[TraceWindow]) -> ReferenceModel:
-        """Learn a reference model from the given windows."""
+    def learn_reference(
+        self, windows: Iterable[TraceWindow] | WindowBatch
+    ) -> ReferenceModel:
+        """Learn a reference model from the given windows (or one batch)."""
         model = ReferenceModel(
             k_neighbours=self.detector_config.k_neighbours,
             index_kind=self.monitor_config.knn_backend,
@@ -479,8 +479,8 @@ class TraceMonitor:
         The columnar mirror of :meth:`run_on_stream`: windows are cut
         array-natively, batches carry lazy windows and precomputed byte
         sizes, and — when ``model`` is ``None`` — the reference prefix is
-        the only part of the trace materialised as window objects (the
-        learning step needs them).  Results are bit-identical to the object
+        learned from one columnar batch, so no window object is
+        materialised.  Results are bit-identical to the object
         path over the same trace.
 
         ``prefetch_batches > 0`` overlaps batch construction with scoring
@@ -495,12 +495,13 @@ class TraceMonitor:
         first_live = 0
         reference_count = 0
         if model is None:
-            boundary = self.monitor_config.reference_duration_us
-            first_live = int(np.searchsorted(layout.end_us, boundary, side="right"))
-            reference_windows = materialize_layout_windows(
-                columns, layout, 0, first_live
+            reference, first_live = reference_batch(
+                columns,
+                layout,
+                self.registry,
+                self.monitor_config.reference_duration_us,
             )
-            model = self.learn_reference(reference_windows)
+            model = self.learn_reference(reference)
             reference_count = first_live
         elif not model.is_fitted:
             raise ModelError("provided reference model is not fitted")

@@ -85,6 +85,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -428,9 +429,11 @@ def _run_wave(
     worker exception arrives marshalled as data, and a pool-level failure
     (a worker hard-killed mid-shard breaks the whole
     :class:`ProcessPoolExecutor`) is converted into per-shard failures for
-    the futures it took down, so the retry/isolation logic upstream can
-    treat both uniformly.  The pool, channels and feeder threads are
-    wave-local: a retry wave after a broken pool starts from clean state.
+    the futures it took down — and, when the pool breaks between two
+    submits, for every shard it then refused — so the retry/isolation
+    logic upstream can treat both uniformly.  The pool, channels and feeder
+    threads are wave-local: a retry wave after a broken pool starts from
+    clean state.
     """
     global _SHARD_WINDOWS, _SHARD_CHANNELS
     labels = list(sources)
@@ -525,11 +528,26 @@ def _run_wave(
             initializer=_initialize_worker,
             initargs=(payload,),
         ) as pool:
-            futures = [(task.label, pool.submit(_run_shard, task)) for task in tasks]
+            futures = []
+            for task in tasks:
+                try:
+                    futures.append((task.label, pool.submit(_run_shard, task)))
+                except BrokenProcessPool as exc:
+                    # A worker died (e.g. at boot) between two submits: the
+                    # shards never submitted fail like the ones it took down,
+                    # so isolation and the retry budget still apply.
+                    error = f"worker process failed: {type(exc).__name__}: {exc}"
+                    for unsubmitted in tasks[len(futures) :]:
+                        outcomes[unsubmitted.label] = _ShardOutcome(
+                            label=unsubmitted.label, error=error
+                        )
+                    break
             # Feeders start only after every submission: on fork platforms
             # the workers fork during the submits above, and forking a
             # process with live feeder threads could snapshot held locks.
             for label, (kind, source) in chunked.items():
+                if label in outcomes:
+                    continue  # never submitted: nothing would drain it
                 chunks = (
                     source.columns_chunks()
                     if kind == "columns"

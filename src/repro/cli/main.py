@@ -41,8 +41,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ..analysis.fleet import ShardedTraceMonitor
 from ..analysis.model import ReferenceModel
 from ..analysis.monitor import TraceMonitor
@@ -53,13 +51,15 @@ from ..experiments.report import render_alpha_sweep, render_headline
 from ..experiments.sweep import alpha_sweep
 from ..logging_util import configure_logging
 from ..media.app import EnduranceRun
+from ..trace.batch import WindowBatch
+from ..trace.columns import TraceColumns
 from ..trace.event import EventTypeRegistry
 from ..trace.reader import read_trace, read_trace_columns
 from ..trace.stats import summarize
 from ..trace.stream import (
     TraceStream,
     column_windows_by_duration,
-    materialize_layout_windows,
+    reference_batch,
 )
 from ..trace.writer import write_trace
 
@@ -396,16 +396,27 @@ def _monitor_configs(args: argparse.Namespace) -> tuple[DetectorConfig, MonitorC
     return detector, monitor
 
 
+def _reference_batch(
+    columns: TraceColumns,
+    monitor_config: MonitorConfig,
+    registry: EventTypeRegistry,
+) -> WindowBatch:
+    """The reference prefix of a decoded trace, as one columnar batch."""
+    layout = column_windows_by_duration(columns, monitor_config.window_duration_us)
+    reference, _ = reference_batch(
+        columns, layout, registry, monitor_config.reference_duration_us
+    )
+    return reference
+
+
 def _cmd_learn(args: argparse.Namespace) -> int:
-    events = read_trace(args.trace)
     args.alpha = 1.2
     detector_config, monitor_config = _monitor_configs(args)
     registry = EventTypeRegistry.with_default_types()
     monitor = TraceMonitor(detector_config, monitor_config, registry)
-    reference, _ = TraceStream(iter(events)).split_reference(
-        monitor_config.reference_duration_us, monitor_config.window_duration_us
+    model = monitor.learn_reference(
+        _reference_batch(read_trace_columns(args.trace), monitor_config, registry)
     )
-    model = monitor.learn_reference(reference)
     model.save(args.model)
     payload = {
         "reference_windows": model.n_reference_windows,
@@ -534,18 +545,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         }
 
         def reference_windows():
-            first = columns_by_label[labels[0]]
-            layout = column_windows_by_duration(
-                first, monitor_config.window_duration_us
+            return _reference_batch(
+                columns_by_label[labels[0]], monitor_config, registry
             )
-            n_reference = int(
-                np.searchsorted(
-                    layout.end_us,
-                    monitor_config.reference_duration_us,
-                    side="right",
-                )
-            )
-            return materialize_layout_windows(first, layout, 0, n_reference)
 
         def run(model):
             return fleet.run_on_columns(

@@ -22,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..analysis.detector import WindowDecision
 from ..analysis.fleet import FleetResult, ShardedTraceMonitor
 from ..analysis.labeling import GroundTruth, label_windows
@@ -38,7 +36,8 @@ from ..trace.event import EventTypeRegistry
 from ..trace.stream import (
     ColumnarWindowSource,
     column_windows_by_duration,
-    materialize_layout_windows,
+    reference_batch,
+    reference_window_count,
 )
 
 __all__ = [
@@ -264,11 +263,12 @@ def run_fleet_endurance_experiment(
             layout = column_windows_by_duration(
                 columns, config.monitor.window_duration_us
             )
-            first_live = int(np.searchsorted(layout.end_us, boundary, side="right"))
             if position == 0:
-                reference_windows = materialize_layout_windows(
-                    columns, layout, 0, first_live
+                reference_windows, first_live = reference_batch(
+                    columns, layout, registry, boundary
                 )
+            else:
+                first_live = reference_window_count(layout, boundary)
             shards[f"stream-{position:02d}"] = ColumnarWindowSource(
                 columns, first_window=first_live
             )

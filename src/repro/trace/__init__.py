@@ -18,6 +18,8 @@ from .stream import (
     column_windows_by_duration,
     iter_column_batches,
     materialize_layout_windows,
+    reference_batch,
+    reference_window_count,
     windows_by_count,
     windows_by_duration,
 )
@@ -47,6 +49,8 @@ __all__ = [
     "column_windows_by_duration",
     "iter_column_batches",
     "materialize_layout_windows",
+    "reference_batch",
+    "reference_window_count",
     "windows_by_count",
     "windows_by_duration",
     "BinaryTraceCodec",

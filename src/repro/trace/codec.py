@@ -18,8 +18,9 @@ by round-trip property tests.
 from __future__ import annotations
 
 import json
+import json.encoder
 import struct
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import TraceFormatError
 
@@ -325,6 +326,61 @@ def _varint_size(value: int) -> int:
     return (value.bit_length() + 6) // 7
 
 
+#: ``_json``'s C encoder factory (``None`` without the C accelerator).
+_c_make_encoder: Any = vars(json.encoder).get("c_make_encoder")
+
+
+def _make_compact_json() -> Callable[[Any], str]:
+    """Build the one reused compact JSON encoder used for payload sizing.
+
+    ``json.dumps(..., sort_keys=True)`` builds a fresh ``JSONEncoder`` per
+    call; one prebuilt C encoder with the same settings serves every event
+    and returns the very string :meth:`BinaryTraceCodec.encode_event`
+    writes, so sizing accepts and rejects the same payloads (mixed key
+    types raise ``TypeError`` in both).  It runs without circular-reference
+    markers, so it keeps no state between calls; a self-referencing payload
+    therefore raises ``RecursionError`` here instead of ``ValueError``.
+    Interpreters without the ``_json`` accelerator fall back to a prebuilt
+    pure-Python encoder with the same output.
+    """
+    encoder = json.JSONEncoder(
+        separators=(",", ":"), sort_keys=True, check_circular=False
+    )
+    if _c_make_encoder is None:  # pragma: no cover - CPython ships _json
+        return encoder.encode
+    chunks = _c_make_encoder(
+        None,  # no circular-reference markers: no state kept across calls
+        encoder.default,
+        json.encoder.encode_basestring_ascii,
+        None,  # indent
+        ":",
+        ",",
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+#: Compact (``","``/``":"``), key-sorted, ASCII-escaped JSON of one value:
+#: the payload the binary codec writes, whose string length equals its
+#: UTF-8 byte length.
+_compact_json = _make_compact_json()
+
+
+def _payload_field_size(args: Mapping[str, Any]) -> int:
+    """Binary-codec size of an event's payload field (length prefix + JSON).
+
+    The single payload-size helper shared by :func:`encoded_trace_size` and
+    the columnar decoders; bit-identical to the length of the payload
+    :meth:`BinaryTraceCodec.encode_event` writes.
+    """
+    if not args:
+        return 1
+    length = len(_compact_json(dict(args)))
+    return _varint_size(length) + length
+
+
 def encoded_trace_size(events: Iterable[TraceEvent]) -> int:
     """Total binary-encoded size of an event sequence (excluding file header).
 
@@ -361,16 +417,13 @@ def encoded_trace_size(events: Iterable[TraceEvent]) -> int:
             task_length = len(task.encode("utf-8"))
             task_size = _varint_size(task_length) + task_length
             task_sizes[task] = task_size
-        if event.args:
-            # json.dumps escapes non-ASCII by default, so the string length
-            # equals the UTF-8 byte length.
-            payload_length = len(
-                json.dumps(dict(event.args), sort_keys=True, separators=(",", ":"))
-            )
-            payload_size = _varint_size(payload_length) + payload_length
-        else:
-            payload_size = 1
-        total += _varint_size(delta) + _varint_size(code) + 1 + task_size + payload_size
+        total += (
+            _varint_size(delta)
+            + _varint_size(code)
+            + 1
+            + task_size
+            + _payload_field_size(event.args)
+        )
     return total
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import codecs
 import json
 import struct
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from numpy.typing import DTypeLike
 
@@ -45,14 +45,27 @@ from ..errors import TraceFormatError
 from .codec import (
     _MAGIC,
     JsonTraceCodec,
+    _compact_json,
     _decode_varint,
     _parse_segment_header,
+    _payload_field_size,
     _varint_size,
 )
 from .event import TraceEvent
 
 #: Shared stateless codec for lazy JSON-line materialisation.
 _JSON_CODEC = JsonTraceCodec()
+
+#: The JSON decoder's C scanner: parses one value at an index and returns
+#: ``(value, end)``; the JSON-lines kernel calls it once per stripped line.
+_SCAN_ONCE: Callable[[str, int], tuple[Any, int]] = vars(json.JSONDecoder())[
+    "scan_once"
+]
+
+#: Appended to the one-shot decoder's malformed-JSON message.
+_PARTIAL_LINE_HINT = (
+    " (a partial final line usually means the trace is still being appended)"
+)
 
 __all__ = [
     "BinaryColumnsDecoder",
@@ -302,16 +315,6 @@ def _task_field_size(task: str, cache: dict[str, int]) -> int:
     return size
 
 
-def _payload_field_size(args: Mapping[str, Any]) -> int:
-    """Encoded size of the payload field, mirroring ``encoded_trace_size``."""
-    if not args:
-        return 1
-    # json.dumps escapes non-ASCII by default, so the string length equals
-    # the UTF-8 byte length (same shortcut as encoded_trace_size).
-    length = len(json.dumps(dict(args), sort_keys=True, separators=(",", ":")))
-    return _varint_size(length) + length
-
-
 # ---------------------------------------------------------------------- #
 # Vectorized decoders
 # ---------------------------------------------------------------------- #
@@ -470,75 +473,14 @@ def _concat(parts: Sequence[np.ndarray], dtype: DTypeLike) -> np.ndarray:
 def decode_json_columns(text: str) -> TraceColumns:
     """Decode a JSON-lines trace into columns.
 
-    One ``json.loads`` per line is unavoidable, but nothing else per event
-    is: no :class:`TraceEvent` construction, no per-event windowing, and
-    the byte accounting inputs are computed inline (task field sizes are
-    cached per task name).  Empty lines are skipped exactly as the object
-    reader does.
+    The one-shot form of :class:`JsonColumnsDecoder`: the whole text is
+    parsed by the same per-line kernel as its final chunk, so no
+    :class:`TraceEvent` is built and nothing but one C-scanner call and a
+    few field checks runs per event.  Empty lines are skipped exactly as
+    the object reader does; a malformed line raises with its 1-based line
+    number.
     """
-    timestamps: list[int] = []
-    codes: list[int] = []
-    cores: list[int] = []
-    static: list[int] = []
-    line_starts: list[int] = []
-    line_ends: list[int] = []
-    name_codes: dict[str, int] = {}
-    names: list[str] = []
-    task_cache: dict[str, int] = {}
-    position = 0
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        start = position
-        position += len(raw) + 1
-        line = raw.strip()
-        if not line:
-            continue
-        lead = len(raw) - len(raw.lstrip())
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(
-                f"malformed JSON event line {line_no}: {line!r} "
-                "(a partial final line usually means the trace is still "
-                "being appended)"
-            ) from exc
-        try:
-            timestamp = int(record["t"])
-            etype = str(record["type"])
-            core = int(record.get("core", 0))
-            task = str(record.get("task", ""))
-            args = dict(record.get("args", {}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(
-                f"malformed event record at line {line_no}: {record!r}"
-            ) from exc
-        if timestamp < 0:
-            raise TraceFormatError(
-                f"negative timestamp at line {line_no}: {timestamp}"
-            )
-        code = name_codes.get(etype)
-        if code is None:
-            code = len(names)
-            name_codes[etype] = code
-            names.append(etype)
-        task_field = _task_field_size(task, task_cache)
-        payload_field = _payload_field_size(args)
-        timestamps.append(timestamp)
-        codes.append(code)
-        cores.append(core)
-        static.append(1 + task_field + payload_field)
-        line_starts.append(start + lead)
-        line_ends.append(start + lead + len(line))
-    return TraceColumns(
-        timestamps_us=np.array(timestamps, dtype=np.int64),
-        type_codes=np.array(codes, dtype=np.int32),
-        cores=np.array(cores, dtype=np.int64),
-        type_names=tuple(names),
-        static_sizes=np.array(static, dtype=np.int64),
-        source_kind="jsonl",
-        text=text,
-        line_starts=np.array(line_starts, dtype=np.int64),
-        line_ends=np.array(line_ends, dtype=np.int64),
-    )
+    return JsonColumnsDecoder()._parse(text, final=True, hint=_PARTIAL_LINE_HINT)
 
 
 # ---------------------------------------------------------------------- #
@@ -909,78 +851,112 @@ class JsonColumnsDecoder:
         self._pending = ""
         return self._parse(text, final=True)
 
-    def _parse(self, text: str, final: bool) -> TraceColumns:
+    def _parse(self, text: str, final: bool, hint: str = "") -> TraceColumns:
+        """The JSON-lines kernel: decode the complete lines of ``text``.
+
+        Each stripped line is parsed by one C-scanner call that must consume
+        the whole line.  Anything else — a scan failure, trailing data —
+        re-parses the line with ``json.loads`` so the error (and its
+        message) is exactly the per-line one.  Payload lengths come from
+        the reused compact encoder and are sized into varint fields once
+        per chunk.
+        """
         raw_lines = text.split("\n")
         if not final:
             # ``text`` is empty or newline-terminated: the final split
             # element is the empty string after the last newline, not a line.
-            raw_lines = raw_lines[:-1]
+            raw_lines.pop()
+        scan = _SCAN_ONCE
+        encode = _compact_json
+        skip = self._on_corrupt == "skip"
+        corrupt = self._corrupt_lines
+        name_codes = self._name_codes
+        names = self._names
+        task_cache = self._task_cache
         timestamps: list[int] = []
         codes: list[int] = []
         cores: list[int] = []
-        static: list[int] = []
+        task_fields: list[int] = []
+        payload_lengths: list[int] = []
         line_starts: list[int] = []
         line_ends: list[int] = []
+        line_no = self._lines_done
         position = 0
-        for raw in raw_lines:
-            self._lines_done += 1
-            line_no = self._lines_done
-            start = position
-            position += len(raw) + 1
-            line = raw.strip()
-            if not line:
-                continue
-            lead = len(raw) - len(raw.lstrip())
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if self._on_corrupt == "skip":
-                    self._corrupt_lines.append(line_no)
+        try:
+            for raw in raw_lines:
+                line_no += 1
+                start = position
+                position += len(raw) + 1
+                line = raw.strip()
+                if not line:
                     continue
-                raise TraceFormatError(
-                    f"malformed JSON event line {line_no}: {line!r}"
-                ) from exc
-            try:
-                timestamp = int(record["t"])
-                etype = str(record["type"])
-                core = int(record.get("core", 0))
-                task = str(record.get("task", ""))
-                args = dict(record.get("args", {}))
-            except (KeyError, TypeError, ValueError) as exc:
-                if self._on_corrupt == "skip":
-                    self._corrupt_lines.append(line_no)
-                    continue
-                raise TraceFormatError(
-                    f"malformed event record at line {line_no}: {record!r}"
-                ) from exc
-            if timestamp < 0:
-                if self._on_corrupt == "skip":
-                    self._corrupt_lines.append(line_no)
-                    continue
-                raise TraceFormatError(
-                    f"negative timestamp at line {line_no}: {timestamp}"
-                )
-            code = self._name_codes.get(etype)
-            if code is None:
-                code = len(self._names)
-                self._name_codes[etype] = code
-                self._names.append(etype)
-            timestamps.append(timestamp)
-            codes.append(code)
-            cores.append(core)
-            static.append(
-                1
-                + _task_field_size(task, self._task_cache)
-                + _payload_field_size(args)
-            )
-            line_starts.append(start + lead)
-            line_ends.append(start + lead + len(line))
+                try:
+                    record, end = scan(line, 0)
+                except (StopIteration, ValueError):  # json.loads re-raises it
+                    end = -1
+                if end != len(line):
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        if skip:
+                            corrupt.append(line_no)
+                            continue
+                        raise TraceFormatError(
+                            f"malformed JSON event line {line_no}: {line!r}{hint}"
+                        ) from exc
+                try:
+                    timestamp = int(record["t"])
+                    etype = str(record["type"])
+                    core = int(record.get("core", 0))
+                    task = str(record.get("task", ""))
+                    args = record.get("args", {})
+                    if type(args) is not dict:
+                        args = dict(args)
+                except (KeyError, TypeError, ValueError) as exc:
+                    if skip:
+                        corrupt.append(line_no)
+                        continue
+                    raise TraceFormatError(
+                        f"malformed event record at line {line_no}: {record!r}"
+                    ) from exc
+                if timestamp < 0:
+                    if skip:
+                        corrupt.append(line_no)
+                        continue
+                    raise TraceFormatError(
+                        f"negative timestamp at line {line_no}: {timestamp}"
+                    )
+                code = name_codes.get(etype)
+                if code is None:
+                    code = len(names)
+                    name_codes[etype] = code
+                    names.append(etype)
+                timestamps.append(timestamp)
+                codes.append(code)
+                cores.append(core)
+                task_fields.append(_task_field_size(task, task_cache))
+                payload_lengths.append(len(encode(args)) if args else 0)
+                if len(line) == len(raw):
+                    line_starts.append(start)
+                    line_ends.append(position - 1)
+                else:
+                    lead = start + len(raw) - len(raw.lstrip())
+                    line_starts.append(lead)
+                    line_ends.append(lead + len(line))
+        finally:
+            self._lines_done = line_no
+        payload = np.array(payload_lengths, dtype=np.int64)
         return TraceColumns(
             timestamps_us=np.array(timestamps, dtype=np.int64),
             type_codes=np.array(codes, dtype=np.int32),
             cores=np.array(cores, dtype=np.int64),
-            type_names=tuple(self._names),
-            static_sizes=np.array(static, dtype=np.int64),
+            type_names=tuple(names),
+            static_sizes=(
+                1
+                + np.array(task_fields, dtype=np.int64)
+                + varint_size_array(payload)
+                + payload
+            ),
             source_kind="jsonl",
             text=text,
             line_starts=np.array(line_starts, dtype=np.int64),

@@ -39,6 +39,8 @@ __all__ = [
     "column_windows_by_count",
     "iter_column_batches",
     "batches_from_layout",
+    "reference_batch",
+    "reference_window_count",
     "materialize_layout_windows",
 ]
 
@@ -524,6 +526,39 @@ def batches_from_layout(
     for w0 in range(first_window, n_windows, batch_size):
         w1 = min(w0 + batch_size, n_windows)
         yield _build_column_batch(columns, layout, registry, mapper, w0, w1)
+
+
+def reference_window_count(
+    layout: ColumnWindowLayout, reference_duration_us: int
+) -> int:
+    """Number of leading layout windows that form the reference prefix.
+
+    Those are the windows that end by ``reference_duration_us``, the same
+    windows :meth:`TraceStream.split_reference` returns; live monitoring
+    starts at the next one.
+    """
+    return int(np.searchsorted(layout.end_us, reference_duration_us, side="right"))
+
+
+def reference_batch(
+    columns: TraceColumns,
+    layout: ColumnWindowLayout,
+    registry: EventTypeRegistry,
+    reference_duration_us: int,
+) -> tuple[WindowBatch, int]:
+    """The reference prefix of a layout as one columnar batch.
+
+    Returns the batch and the index of the first live window (see
+    :func:`reference_window_count`).  The batch is what reference learning
+    (:meth:`~repro.analysis.model.ReferenceModel.learn`) needs, type codes
+    and counts, and no event is materialised.  Unseen event types grow
+    ``registry`` in event order, exactly as ``WindowBatch.from_windows``
+    over the materialised windows would.
+    """
+    first_live = reference_window_count(layout, reference_duration_us)
+    mapper = _ColumnCodeMapper(columns.type_names, registry)
+    batch = _build_column_batch(columns, layout, registry, mapper, 0, first_live)
+    return batch, first_live
 
 
 def _build_column_batch(

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.analysis.monitor import TraceMonitor
 from repro.cli.main import build_parser, main
-from repro.trace.event import TraceEvent
+from repro.config import DetectorConfig, MonitorConfig
+from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import PeriodicTraceGenerator
+from repro.trace.reader import read_trace
+from repro.trace.stream import TraceStream
 from repro.trace.writer import write_trace
 
 
@@ -103,6 +108,41 @@ class TestLearnAndMonitor:
         payload = json.loads(capsys.readouterr().out)
         assert payload["windows"] > 0
         assert payload["reduction_factor"] > 1.0
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "bin"])
+    def test_learn_equals_object_path_model(self, trace_file, tmp_path, capsys, fmt):
+        """``learn`` decodes to columns and materialises only the reference
+        prefix; the model must equal the whole-file object decode's."""
+        events = read_trace(trace_file)
+        source = tmp_path / f"source.{fmt}"
+        write_trace(events, source)
+        monitor = TraceMonitor(
+            DetectorConfig(k_neighbours=10, lof_threshold=1.2),
+            MonitorConfig(reference_duration_us=4_000_000),
+            EventTypeRegistry.with_default_types(),
+        )
+        reference, _ = TraceStream(iter(read_trace(source))).split_reference(
+            4_000_000, 40_000
+        )
+        oracle = monitor.learn_reference(reference)
+        oracle_path = oracle.save(tmp_path / "oracle.npz")
+
+        model_path = tmp_path / "model.npz"
+        assert main([
+            "--json", "learn", str(source), "--reference-s", "4",
+            "--k", "10", "--model", str(model_path),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "reference_windows": oracle.n_reference_windows,
+            "dimension": oracle.dimension,
+            "suggested_alpha": oracle.suggest_alpha(),
+            "model": str(model_path),
+        }
+        with np.load(model_path) as learned, np.load(oracle_path) as expected:
+            assert sorted(learned.files) == sorted(expected.files)
+            for name in expected.files:
+                np.testing.assert_array_equal(learned[name], expected[name])
 
     def test_monitor_without_model_learns_from_prefix(self, trace_file, capsys):
         assert (

@@ -22,6 +22,7 @@ import errno
 import json
 import struct
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -510,6 +511,80 @@ class TestParallelFaultTolerance:
             )
         assert result.n_failed == len(stream_windows)
         assert result.shard_results == {}
+
+    @staticmethod
+    def break_pool_at_submit(monkeypatch, nth, waves=1):
+        """Make the ``nth`` submit of the first ``waves`` pools raise.
+
+        Deterministic stand-in for a worker dying while the parent is still
+        submitting: the pool refuses the ``nth`` task with
+        ``BrokenProcessPool``, exactly as a real broken pool does.
+        """
+        pools = []
+
+        class BreakingExecutor(parallel_backend.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+                self.breaks = len(pools) <= waves
+                self.submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submits += 1
+                if self.breaks and self.submits == nth:
+                    raise BrokenProcessPool("pool broke between submits")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_backend, "ProcessPoolExecutor", BreakingExecutor)
+        return pools
+
+    @pytest.mark.parametrize("chunk_windows", [None, 4])
+    def test_submit_time_pool_break_isolates_unsubmitted_shards(
+        self, monkeypatch, base_registry, shared_model, stream_windows, chunk_windows
+    ):
+        baseline = self.run_parallel(base_registry, shared_model, stream_windows)
+        pools = self.break_pool_at_submit(monkeypatch, nth=2)
+        result = self.run_parallel(
+            base_registry,
+            shared_model,
+            stream_windows,
+            shard_failure_policy="isolate",
+            shard_chunk_windows=chunk_windows,
+        )
+        assert len(pools) == 1
+        assert result.failed_labels == ("dev-1", "dev-2")
+        for label in result.failed_labels:
+            assert result.outcomes[label].error.startswith(
+                "worker process failed: BrokenProcessPool"
+            )
+        assert_shard_equals(result.shard("dev-0"), baseline.shard("dev-0"))
+
+    def test_submit_time_pool_break_spends_retry_budget(
+        self, monkeypatch, base_registry, shared_model, stream_windows
+    ):
+        baseline = self.run_parallel(base_registry, shared_model, stream_windows)
+        pools = self.break_pool_at_submit(monkeypatch, nth=2)
+        result = self.run_parallel(
+            base_registry, shared_model, stream_windows, shard_retries=1
+        )
+        assert len(pools) == 2  # the refused shards ran in a retry wave
+        assert not result.degraded
+        assert {label: o.attempts for label, o in result.outcomes.items()} == {
+            "dev-0": 1,
+            "dev-1": 2,
+            "dev-2": 2,
+        }
+        for label in stream_windows:
+            assert_shard_equals(result.shard(label), baseline.shard(label))
+
+    def test_submit_time_pool_break_aborts_naming_first_shard(
+        self, monkeypatch, base_registry, shared_model, stream_windows
+    ):
+        from repro.errors import FleetError
+
+        self.break_pool_at_submit(monkeypatch, nth=2)
+        with pytest.raises(FleetError, match="'dev-1' failed in a worker process"):
+            self.run_parallel(base_registry, shared_model, stream_windows)
 
 
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,11 +11,14 @@ from repro.errors import TraceFormatError
 from repro.trace.codec import (
     BinaryTraceCodec,
     JsonTraceCodec,
+    _compact_json,
     _decode_varint,
     _encode_varint,
+    _payload_field_size,
     encoded_event_size,
     encoded_trace_size,
 )
+from repro.trace.columns import TraceColumns
 from repro.trace.event import EventTypeRegistry, TraceEvent
 
 
@@ -164,3 +169,62 @@ class TestSizeAccounting:
 
     def test_empty_trace_has_zero_size(self):
         assert encoded_trace_size([]) == 0
+
+
+class TestPayloadSizing:
+    """One reused compact encoder sizes every payload (columns + codec)."""
+
+    PAYLOADS = [
+        {},
+        {"frame": 0, "bytes": 4321},
+        {"b": 1, "a": [1.5, None, True, "x"]},
+        {"ü": "日本", "nested": {"z": {}, "y": []}},
+        {"nan": float("nan"), "inf": float("-inf"), "big": 2**70},
+        {"quote": 'say "hi"\n\t\\', "ctl": "\x00\x1f"},
+    ]
+
+    def test_length_matches_sorted_dumps_and_written_payload(self):
+        for args in self.PAYLOADS:
+            written = BinaryTraceCodec().encode_event(
+                TraceEvent(0, "a", core=0, task="", args=args)
+            )
+            # delta, code, core and the empty task take one byte each.
+            assert _payload_field_size(args) == len(written) - 4
+            if args:
+                sorted_json = json.dumps(args, sort_keys=True, separators=(",", ":"))
+                assert _compact_json(args) == sorted_json
+
+    def test_pure_python_fallback_encodes_identically(self, monkeypatch):
+        from repro.trace import codec
+
+        monkeypatch.setattr(codec, "_c_make_encoder", None)
+        fallback = codec._make_compact_json()
+        # The prebuilt JSONEncoder then also runs without the C accelerator.
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        for args in self.PAYLOADS:
+            assert fallback(args) == _compact_json(args)
+
+    def test_sizing_rejects_the_payloads_the_codec_cannot_write(self):
+        mixed = {1: 0, "a": 1}
+        circular: dict = {}
+        circular["self"] = circular
+        for args, codec_error, sizing_error in (
+            (mixed, TypeError, TypeError),
+            (circular, ValueError, RecursionError),
+        ):
+            event = TraceEvent(0, "a", core=0, task="", args=args)
+            with pytest.raises(codec_error):
+                BinaryTraceCodec().encode_event(event)
+            with pytest.raises(sizing_error):
+                encoded_trace_size([event])
+            with pytest.raises(sizing_error):
+                TraceColumns.from_events([event])
+
+    def test_encoder_keeps_no_state_after_an_error(self):
+        with pytest.raises(TypeError):
+            _compact_json({"bad": object()})
+        args = {"frame": 1}
+        assert _compact_json(args) == '{"frame":1}'
+        assert _compact_json({"again": args, "twice": args}) == (
+            '{"again":{"frame":1},"twice":{"frame":1}}'
+        )

@@ -11,12 +11,14 @@ generator as the codec round-trip property suite) drive every assertion.
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
-from repro.errors import TraceFormatError, TraceStreamError
+from repro.analysis.model import ReferenceModel
+from repro.errors import ModelError, TraceFormatError, TraceStreamError
 from repro.trace.batch import LazyWindowRef, WindowBatch, batch_windows
 from repro.trace.codec import (
     BinaryTraceCodec,
@@ -24,6 +26,7 @@ from repro.trace.codec import (
     encoded_window_sizes,
 )
 from repro.trace.columns import (
+    JsonColumnsDecoder,
     TraceColumns,
     decode_binary_columns,
     decode_json_columns,
@@ -36,8 +39,11 @@ from repro.trace.pipeline import prefetch_batches
 from repro.trace.stream import (
     column_windows_by_count,
     column_windows_by_duration,
+    TraceStream,
     iter_column_batches,
     materialize_layout_windows,
+    reference_batch,
+    reference_window_count,
     windows_by_count,
     windows_by_duration,
 )
@@ -274,6 +280,52 @@ def test_column_batches_match_object_batches(seed, batch_size):
         assert registry_col.names == registry_obj.names
 
 
+@pytest.mark.parametrize("min_events", [1, 4])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_batch_learns_the_materialised_model(seed, min_events):
+    """Learning from the columnar reference batch equals learning from the
+    materialised windows, for any ``min_events_per_window``: same points,
+    counts, registry growth, and no event materialised."""
+    events = random_events(random.Random(seed), 400)
+    for columns in columns_variants(events).values():
+        layout = column_windows_by_duration(columns, WINDOW_US)
+        boundary = int(layout.end_us[layout.n_windows * 3 // 4 - 1])
+        first_live = reference_window_count(layout, boundary)
+        reference, _ = TraceStream(iter(events)).split_reference(boundary, WINDOW_US)
+        assert first_live == len(reference)
+        registry_obj = EventTypeRegistry(["alpha"])
+        registry_col = EventTypeRegistry(["alpha"])
+        expected = ReferenceModel(k_neighbours=2, min_events_per_window=min_events).learn(
+            materialize_layout_windows(columns, layout, 0, first_live), registry_obj
+        )
+        batch, batch_first_live = reference_batch(
+            columns, layout, registry_col, boundary
+        )
+        assert batch_first_live == first_live and len(batch) == first_live
+        assert batch._lazy_cache is None  # nothing materialised
+        learned = ReferenceModel(k_neighbours=2, min_events_per_window=min_events).learn(
+            batch, registry_col
+        )
+        assert registry_col.names == registry_obj.names
+        assert np.array_equal(learned.points, expected.points)
+        assert np.array_equal(learned._mean_pmf_counts, expected._mean_pmf_counts)
+        assert learned.type_names == expected.type_names
+        assert learned.n_windows_seen == expected.n_windows_seen
+        assert learned.n_reference_windows == expected.n_reference_windows
+
+
+def test_reference_batch_before_the_first_window_end_is_empty():
+    columns = TraceColumns.from_events(random_events(random.Random(2), 50))
+    layout = column_windows_by_duration(columns, WINDOW_US)
+    registry = EventTypeRegistry()
+    empty, first_live = reference_batch(
+        columns, layout, registry, int(layout.end_us[0]) - 1
+    )
+    assert len(empty) == 0 and first_live == 0 and len(registry) == 0
+    with pytest.raises(ModelError, match=r"not enough usable reference windows \(0\)"):
+        ReferenceModel(k_neighbours=3).learn(empty, registry)
+
+
 def test_column_batches_skip_reference_prefix():
     events = random_events(random.Random(5), 300)
     columns = TraceColumns.from_events(events)
@@ -382,3 +434,186 @@ def test_lazy_binary_materialisation_wraps_corrupt_payload():
     columns = decode_binary_columns(corrupt)  # length-skips the payload
     with pytest.raises(TraceFormatError, match="malformed event payload"):
         columns.events(0, 1)
+
+
+# ---------------------------------------------------------------------- #
+# Adversarial JSON-lines equivalence against a per-line json.loads oracle
+# ---------------------------------------------------------------------- #
+def oracle_json_decode(text, on_corrupt="raise", hint=""):
+    """Reference JSON-lines decode: one plain ``json.loads`` per line.
+
+    Returns ``(rows, type_names, corrupt_lines)`` where each row is
+    ``(timestamp, code, core, static_size, line_text, start, end)`` with
+    ``start``/``end`` the stripped line's span in ``text``; raises exactly
+    what a per-line decoder raises.  Payloads are sized with a sorted
+    ``json.dumps``, which cross-checks the decoder's unsorted encoder.
+    """
+    rows, names, corrupt = [], [], []
+    position = 0
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        start = position
+        position += len(raw) + 1
+        line = raw.strip()
+        if not line:
+            continue
+        lead = start + len(raw) - len(raw.lstrip())
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if on_corrupt == "skip":
+                corrupt.append(line_no)
+                continue
+            raise TraceFormatError(
+                f"malformed JSON event line {line_no}: {line!r}{hint}"
+            ) from exc
+        try:
+            timestamp = int(record["t"])
+            etype = str(record["type"])
+            core = int(record.get("core", 0))
+            task = str(record.get("task", ""))
+            args = dict(record.get("args", {}))
+        except (KeyError, TypeError, ValueError) as exc:
+            if on_corrupt == "skip":
+                corrupt.append(line_no)
+                continue
+            raise TraceFormatError(
+                f"malformed event record at line {line_no}: {record!r}"
+            ) from exc
+        if timestamp < 0:
+            if on_corrupt == "skip":
+                corrupt.append(line_no)
+                continue
+            raise TraceFormatError(
+                f"negative timestamp at line {line_no}: {timestamp}"
+            )
+        if etype not in names:
+            names.append(etype)
+        task_length = len(task.encode("utf-8"))
+        payload = (
+            len(json.dumps(args, sort_keys=True, separators=(",", ":")))
+            if args
+            else 0
+        )
+        static = 1 + _varint_size(task_length) + task_length
+        static += _varint_size(payload) + payload
+        rows.append(
+            (timestamp, names.index(etype), core, static, line, lead, lead + len(line))
+        )
+    return rows, names, corrupt
+
+
+def column_rows(parts):
+    """Rows of decoded column chunks, with each event's line text."""
+    rows = []
+    for columns in parts:
+        for i in range(len(columns)):
+            start = int(columns._line_starts[i])
+            end = int(columns._line_ends[i])
+            rows.append(
+                (
+                    int(columns.timestamps_us[i]),
+                    int(columns.type_codes[i]),
+                    int(columns.cores[i]),
+                    int(columns.static_sizes[i]),
+                    columns._text[start:end],
+                    start,
+                    end,
+                )
+            )
+    return rows
+
+
+def outcome(call, *args):
+    """``("ok", value)`` or ``("error", type, message)`` of ``call(*args)``."""
+    try:
+        return ("ok", call(*args))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return ("error", type(exc), str(exc))
+
+
+GOOD = [
+    '{"t":0,"type":"alpha","core":1,"task":"dec","args":{"b":2,"a":1}}',
+    '{"args":{"frame":3,"kind":"I"},"core":0,"t":5,"task":"demux","type":"beta"}',
+]
+TAIL = ['{"t":90,"type":"gamma","task":"décodeur","args":{"ü":"日本"}}']
+
+ADVERSARIAL = {
+    "multi_value": ['{"t":1,"type":"a"},{"t":2,"type":"a"}'],
+    "bracket_split": ['[{"t":3,"type":"a"}', '{"t":4,"type":"a"}]'],
+    "counterexample": ['{"t":1},{"t":2}', '[{"t":3}', '{"t":4}]'],
+    "bom": ['\ufeff{"t":6,"type":"a"}'],
+    "nan_payload": ['{"t":6,"type":"a","args":{"x":NaN,"y":-Infinity}}'],
+    "nan_timestamp": ['{"t":NaN,"type":"a"}'],
+    "infinite_timestamp": ['{"t":Infinity,"type":"a"}'],
+    "array_value": ["[1, 2]"],
+    "string_value": ['"text"'],
+    "number_value": ["42"],
+    "null_value": ["null"],
+    "args_zero": ['{"t":6,"type":"a","args":0}'],
+    "args_null": ['{"t":6,"type":"a","args":null}'],
+    "args_pairs": ['{"t":6,"type":"a","args":[["k",1]]}'],
+    "args_string": ['{"t":6,"type":"a","args":"ab"}'],
+    "args_empty": ['{"t":6,"type":"a","args":{}}'],
+    "float_timestamp": ['{"t":7.9,"type":"a"}'],
+    "string_timestamp": ['{"t":" 8 ","type":"a"}'],
+    "bad_string_timestamp": ['{"t":"8x","type":"a"}'],
+    "negative_timestamp": ['{"t":-1,"type":"a"}'],
+    "negative_fraction_timestamp": ['{"t":-0.5,"type":"a"}'],
+    "missing_type": ['{"t":6}'],
+    "duplicate_keys": ['{"t":6,"t":9,"type":"a","type":"b"}'],
+    "bool_core": ['{"t":6,"type":"a","core":true}'],
+    "crlf": ['{"t":6,"type":"a"}\r', '{"t":7,"type":"b"}\r'],
+    "padded": ['  \t{"t":6,"type":"a"} \t ', "\u00a0\u3000", '\x0c{"t":7,"type":"c"}\x0b'],
+    "trailing_garbage": ['{"t":6,"type":"a"} x'],
+    "truncated": ['{"t":6,"type":"a"'],
+    "bad_escape": ['{"t":6,"type":"a\\q"}'],
+    "rejected_type_not_registered": ['{"t":-3,"type":"never"}', '{"t":6,"type":"late"}'],
+}
+
+
+def adversarial_text(name, final_newline=True):
+    text = "\n".join(GOOD + ADVERSARIAL[name] + TAIL)
+    return text + "\n" if final_newline else text
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_one_shot_json_decode_matches_per_line_oracle(name, final_newline):
+    text = adversarial_text(name, final_newline)
+    expected = outcome(
+        lambda: oracle_json_decode(
+            text,
+            hint=" (a partial final line usually means the trace is still "
+            "being appended)",
+        )
+    )
+
+    def decode():
+        columns = decode_json_columns(text)
+        return column_rows([columns]), list(columns.type_names), []
+
+    assert outcome(decode) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("on_corrupt", ["raise", "skip"])
+def test_chunked_json_decode_matches_oracle_at_every_split(name, on_corrupt):
+    """Two chunks split at every byte offset, including inside multibyte
+    characters, decode exactly like the per-line oracle."""
+    data = adversarial_text(name).encode("utf-8")
+    text = data.decode("utf-8")
+    expected = outcome(oracle_json_decode, text, on_corrupt)
+    if expected[0] == "ok":
+        expected = ("ok", (
+            [row[:5] for row in expected[1][0]], expected[1][1], expected[1][2]
+        ))
+
+    def decode(cut):
+        decoder = JsonColumnsDecoder(on_corrupt=on_corrupt)
+        parts = [decoder.feed(data[:cut]), decoder.feed(data[cut:]), decoder.finish()]
+        rows = [row[:5] for row in column_rows(parts)]
+        assert decoder.type_names == parts[-1].type_names
+        return rows, list(decoder.type_names), list(decoder.corrupt_offsets)
+
+    for cut in range(len(data) + 1):
+        assert outcome(decode, cut) == expected, cut
