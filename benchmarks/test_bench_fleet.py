@@ -7,13 +7,14 @@ Three claims are measured on the same synthetic streams:
   with the historical per-window path, while producing bit-identical
   per-stream results (asserted before timing — a fast fleet that changes
   decisions is worthless);
-* the process-parallel backend (``MonitorConfig.fleet_workers > 1``)
-  reproduces the single-thread fleet bit-identically for every worker
-  count in the sweep, and on a multi-core machine the best worker count is
-  at least 1.5x faster in windows/s than the single-thread fleet (the
-  speedup assertion is skipped on single-core machines, where process
-  parallelism cannot beat one thread by construction — the sweep is still
-  run and printed so the trajectory is recorded);
+* the process-pool executor (``MonitorConfig.fleet_workers > 1``)
+  reproduces the inline fleet bit-identically for every worker count in
+  the sweep (asserted here, unconditionally), and on a multi-core machine
+  the best worker count is at least 1.5x faster in windows/s than the
+  inline fleet.  That speedup depends on the hardware, so this bench only
+  records it (``extra_info["worker_speedups"]``); the floor is asserted by
+  ``benchmarks/run_benchmarks.py`` on the archived run, for worker counts
+  up to ``os.cpu_count()`` and only with the fork window transport;
 * on an anomaly-heavy stream the batched recorder (``observe_batch`` +
   write buffering) records the same file with far fewer write calls, and at
   least as fast as, the per-window write-through recorder.
@@ -165,12 +166,12 @@ SWEEP_N_SHARDS = 16
 
 
 def test_fleet_worker_sweep(fleet_setup, benchmark):
-    """Worker-count sweep: bit-identical results, multi-core speedup.
+    """Worker-count sweep: bit-identical results, recorded speedups.
 
-    Equivalence against the single-thread fleet is asserted for every worker
-    count unconditionally; the >= 1.5x windows/s speedup of the best
-    multi-worker configuration is asserted only when the machine actually
-    has more than one core to scale onto.
+    Equivalence against the inline fleet is asserted for every worker count
+    unconditionally.  The windows/s speedup of every worker count goes into
+    ``extra_info``; ``run_benchmarks.py`` asserts the
+    :data:`MIN_PARALLEL_SPEEDUP` floor on it.
     """
     model, registry, base_streams = fleet_setup
     window_lists = list(base_streams.values())
@@ -214,32 +215,12 @@ def test_fleet_worker_sweep(fleet_setup, benchmark):
             for workers, rate in sorted(rates.items())
         )
     )
-    parallel_rates = {w: r for w, r in rates.items() if w > 1}
-    if not parallel_rates:
-        pytest.skip("sweep contained no multi-worker configuration")
-    best_workers, best_rate = max(parallel_rates.items(), key=lambda item: item[1])
-    cpu_count = os.cpu_count() or 1
-    if cpu_count < 2 or not fork_transport_available():
-        # One core cannot beat one thread by construction, and without the
-        # zero-copy fork transport the windows travel through the pickle
-        # queue, which costs more than scoring them on this workload.
-        # Equivalence was still asserted above; only the timing claim is
-        # waived.
-        reason = (
-            f"single-core machine ({cpu_count} cpu)"
-            if cpu_count < 2
-            else "no fork window transport (spawn/forkserver platform)"
-        )
-        print(
-            f"{reason}: skipping the >= {MIN_PARALLEL_SPEEDUP}x speedup "
-            f"assertion (best: {best_workers} workers at "
-            f"{best_rate / serial_rate:.2f}x)"
-        )
-        return
-    assert best_rate >= MIN_PARALLEL_SPEEDUP * serial_rate, (
-        f"parallel fleet only {best_rate / serial_rate:.2f}x the single-thread "
-        f"fleet with {best_workers} workers on {cpu_count} cpus; "
-        f"expected >= {MIN_PARALLEL_SPEEDUP}x"
+    benchmark.extra_info.update(
+        worker_speedups={
+            str(workers): rate / serial_rate for workers, rate in rates.items()
+        },
+        min_speedup=MIN_PARALLEL_SPEEDUP,
+        fork_transport=fork_transport_available(),
     )
 
 

@@ -23,29 +23,28 @@ Isolation guarantees (what the equivalence suite locks down):
 
 A sharded run is therefore decision- and byte-identical to N independent
 :meth:`~repro.analysis.monitor.TraceMonitor.monitor_windows` runs over the
-same model, while sharing the model memory and interleaving shards
-batch-by-batch (the :class:`WindowBatch` is the unit of work distribution).
-``MonitorConfig.max_active_shards`` bounds how many shards are open at once
-for very wide fleets; scheduling order never changes the results.
+same model, while sharing the model memory.
 
-Two execution backends produce that same result:
+One scheduler (:func:`~repro.analysis.parallel.schedule_shards`) runs
+every fleet, over one of two executors that produce the same result:
 
-* **serial** (``MonitorConfig.fleet_workers == 1``, the default) — one
-  process interleaves every shard batch-by-batch, exactly as in PR 2;
-* **process-parallel** (``fleet_workers > 1``) — whole shards are
-  partitioned across a worker-process pool
-  (:func:`~repro.analysis.parallel.monitor_shards_parallel`); the fitted
-  model ships to each worker once, recorders stay worker-local, and the
-  per-shard results are merged deterministically in submission order.
+* **inline** (``MonitorConfig.fleet_workers == 1``, the default) — shards
+  run one after another in this process; sources are consumed in place;
+* **pool** (``fleet_workers > 1``) — whole shards are partitioned across a
+  worker-process pool; the fitted model ships to each worker once,
+  recorders stay worker-local, and the per-shard results are merged
+  deterministically in submission order.
 
-Fault tolerance (both backends):
+Fault tolerance (one policy, for either executor):
 
-* ``MonitorConfig.shard_failure_policy`` — ``"abort"`` (default) re-raises
-  the first shard failure after every other shard has closed its output
-  file (as :class:`~repro.errors.FleetError` from the parallel backend,
-  the original exception from the serial one); ``"isolate"`` quarantines
-  the failing shard while its siblings run to completion, with the
-  failure reported as a :class:`ShardOutcome` on the result.
+* ``MonitorConfig.shard_failure_policy`` — ``"abort"`` (default) lets
+  every submitted shard run to completion and commit its output, then
+  raises the first shard failure in submission order: the original
+  exception for a shard that ran in this process, a
+  :class:`~repro.errors.FleetError` naming the shard for one that ran in a
+  worker.  ``"isolate"`` quarantines the failing shard while its siblings
+  run to completion, with the failure reported as a :class:`ShardOutcome`
+  on the result.
 * ``MonitorConfig.shard_retries`` / ``shard_retry_backoff_s`` — failed
   shards with a replayable source are re-run from scratch, producing
   bit-identical results to a fault-free run.
@@ -59,35 +58,22 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ..config import DetectorConfig, MonitorConfig
 from ..errors import FleetError, ModelError
 from ..logging_util import get_logger
-from ..testing.faults import fault_point, shard_scope
-from ..trace.batch import WindowBatch
 from ..trace.columns import TraceColumns
 from ..trace.event import EventTypeRegistry
 from ..trace.stream import ColumnarWindowSource, TraceStream
 from ..trace.streaming import StreamingWindowSource
 from ..trace.window import TraceWindow
-from .detector import OnlineAnomalyDetector, WindowDecision
 from .model import ReferenceModel
-from .monitor import (
-    MonitorResult,
-    ShardOutcome,
-    build_shard_pipeline,
-    detector_stats_snapshot,
-    score_and_record_batch,
-    shard_batches,
-    shard_output_path,
-)
-from .parallel import monitor_shards_parallel, source_replayable
-from .recorder import RecorderReport, SelectiveTraceRecorder, partial_output_path
+from .monitor import MonitorResult, ShardOutcome, shard_output_path
+from .parallel import schedule_shards
+from .recorder import RecorderReport, partial_output_path
 
 __all__ = ["FleetResult", "ShardOutcome", "ShardedTraceMonitor"]
 
@@ -255,47 +241,12 @@ class FleetResult:
         }
 
 
-class _Shard:
-    """Mutable per-stream state while the fleet is running."""
-
-    __slots__ = (
-        "label",
-        "registry",
-        "detector",
-        "recorder",
-        "batches",
-        "decisions",
-        "source",
-        "attempt",
-    )
-
-    def __init__(
-        self,
-        label: str,
-        registry: EventTypeRegistry,
-        detector: OnlineAnomalyDetector,
-        recorder: SelectiveTraceRecorder,
-        batches: Iterator[WindowBatch],
-        source: object = None,
-        attempt: int = 1,
-    ) -> None:
-        self.label = label
-        self.registry = registry
-        self.detector = detector
-        self.recorder = recorder
-        self.batches = batches
-        self.decisions: list[WindowDecision] = []
-        # Original window source and 1-based run number, kept for retries.
-        self.source = source
-        self.attempt = attempt
-
-
 class ShardedTraceMonitor:
     """Monitors many labelled window streams over one shared reference model.
 
     Construction mirrors :class:`~repro.analysis.monitor.TraceMonitor`; the
-    ``registry`` argument is the *base* registry every shard clones at
-    activation, so shards observe registry growth exactly as an independent
+    ``registry`` argument is the *base* registry every shard clones when it
+    starts, so shards observe registry growth exactly as an independent
     single-stream run seeded with the same registry would.
     """
 
@@ -372,34 +323,30 @@ class ShardedTraceMonitor:
         :class:`~repro.trace.stream.ColumnarWindowSource` objects carrying
         their own windowing recipe, or live
         :class:`~repro.trace.streaming.StreamingWindowSource` streams
-        (single-pass, bounded memory; in the parallel backend they are fed
-        to workers chunk-by-chunk over bounded channels instead of being
-        materialised up front).  When ``output_dir`` is given each
+        (single-pass, bounded memory; the process pool feeds them to
+        workers chunk-by-chunk over bounded channels instead of
+        materialising them up front).  When ``output_dir`` is given each
         shard records its anomalous windows to
         ``<output_dir>/<label>.jsonl`` (``.bin`` with the binary recording
         format).  With ``MonitorConfig.fleet_workers > 1`` the shards are
-        partitioned across a process pool instead of being interleaved
-        serially; the merged result is bit-identical either way.
+        partitioned across a process pool instead of running one after
+        another in this process; the merged result is bit-identical either
+        way.
         """
         if not model.is_fitted:
             raise ModelError("the shared reference model must be fitted")
         labels = list(shards)
         if len(set(labels)) != len(labels):
             raise FleetError("shard labels must be unique")
-        if self.monitor_config.fleet_workers > 1 and labels:
-            ordered, outcomes, diagnostics = monitor_shards_parallel(
-                shards,
-                model,
-                self.detector_config,
-                self.monitor_config,
-                self.registry.names,
-                output_dir=output_dir,
-                keep_events=keep_events,
-            )
-        else:
-            ordered, outcomes, diagnostics = self._monitor_shards_serial(
-                shards, labels, model, output_dir, keep_events
-            )
+        ordered, outcomes, diagnostics = schedule_shards(
+            shards,
+            model,
+            self.detector_config,
+            self.monitor_config,
+            self.registry.names,
+            output_dir=output_dir,
+            keep_events=keep_events,
+        )
         result = FleetResult(
             shard_results=ordered,
             model=model,
@@ -422,140 +369,6 @@ class ShardedTraceMonitor:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _monitor_shards_serial(
-        self,
-        shards: Mapping[str, Iterable[TraceWindow]],
-        labels: list[str],
-        model: ReferenceModel,
-        output_dir: str | Path | None,
-        keep_events: bool,
-    ) -> tuple[dict[str, MonitorResult], dict[str, ShardOutcome], tuple[str, ...]]:
-        """Interleave every shard batch-by-batch in this process.
-
-        Failure handling follows ``MonitorConfig.shard_failure_policy``:
-        a failing shard's recorder is discarded (its ``.partial`` file
-        removed, nothing committed under the final name), then the shard
-        is retried from scratch while budget remains and its source is
-        replayable, quarantined under ``"isolate"``, or — the default
-        ``"abort"`` — its original exception propagates after every
-        sibling closed its output file.
-        """
-        cap = self.monitor_config.max_active_shards
-        if cap is None:
-            cap = max(len(labels), 1)
-
-        pending: deque[tuple[str, object, int]] = deque(
-            (label, source, 1) for label, source in shards.items()
-        )
-        active: deque[_Shard] = deque()
-        opened: list[_Shard] = []
-        results: dict[str, MonitorResult] = {}
-        outcomes: dict[str, ShardOutcome] = {}
-        try:
-            while pending or active:
-                while pending and len(active) < cap:
-                    label, source, attempt = pending.popleft()
-                    try:
-                        with shard_scope(label, attempt):
-                            shard = self._activate(
-                                label, source, model, output_dir, keep_events,
-                                attempt,
-                            )
-                    except Exception as exc:
-                        self._handle_shard_failure(
-                            label, source, attempt, exc, pending, outcomes
-                        )
-                        continue
-                    opened.append(shard)
-                    active.append(shard)
-                if not active:
-                    continue
-                shard = active.popleft()
-                try:
-                    with shard_scope(shard.label, shard.attempt):
-                        batch = next(shard.batches, None)
-                        if batch is None:
-                            results[shard.label] = self._finalize(shard, model)
-                        else:
-                            fault_point("shard.batch")
-                            self._process_batch(shard, batch)
-                except Exception as exc:
-                    shard.recorder.discard()
-                    self._handle_shard_failure(
-                        shard.label, shard.source, shard.attempt, exc,
-                        pending, outcomes,
-                    )
-                    continue
-                if batch is None:
-                    outcomes[shard.label] = ShardOutcome(
-                        shard.label, "ok", shard.attempt
-                    )
-                else:
-                    active.append(shard)
-        except BaseException:
-            # Already unwinding: close everything best-effort so one failing
-            # recorder cannot leak the rest, but let the original error win.
-            for shard in opened:
-                try:
-                    shard.recorder.close()
-                except Exception:
-                    _LOGGER.exception(
-                        "shard %r recorder close failed during unwind", shard.label
-                    )
-            raise
-        close_error: Exception | None = None
-        for shard in opened:
-            try:
-                shard.recorder.close()
-            except Exception as exc:
-                # Keep closing the remaining shards — the documented
-                # guarantee is that every shard's output file is closed —
-                # then surface the first failure.
-                if close_error is None:
-                    close_error = exc
-                _LOGGER.exception(
-                    "shard %r recorder close failed", shard.label
-                )
-        if close_error is not None:
-            raise close_error
-
-        return (
-            {label: results[label] for label in labels if label in results},
-            {label: outcomes[label] for label in labels},
-            (),
-        )
-
-    def _handle_shard_failure(
-        self,
-        label: str,
-        source: object,
-        attempt: int,
-        exc: Exception,
-        pending: "deque[tuple[str, object, int]]",
-        outcomes: dict[str, ShardOutcome],
-    ) -> None:
-        """Route one shard failure: retry, quarantine, or abort (re-raise)."""
-        config = self.monitor_config
-        if attempt <= config.shard_retries and source_replayable(source):
-            _LOGGER.warning(
-                "shard %r attempt %d failed, retrying: %s", label, attempt, exc
-            )
-            if config.shard_retry_backoff_s > 0.0:
-                time.sleep(config.shard_retry_backoff_s * attempt)
-            pending.append((label, source, attempt + 1))
-            return
-        if config.shard_failure_policy == "isolate":
-            error = f"{type(exc).__name__}: {exc}"
-            _LOGGER.error(
-                "shard %r failed after %d attempt(s), quarantined: %s",
-                label,
-                attempt,
-                error,
-            )
-            outcomes[label] = ShardOutcome(label, "failed", attempt, error=error)
-            return
-        raise exc
-
     def _write_manifest(
         self, output_dir: Path, outcomes: Mapping[str, ShardOutcome]
     ) -> Path:
@@ -600,57 +413,3 @@ class ShardedTraceMonitor:
             f"stream-{position:02d}": stream
             for position, stream in enumerate(streams)
         }
-
-    def _activate(
-        self,
-        label: str,
-        windows: "Iterable[TraceWindow] | TraceColumns | ColumnarWindowSource",
-        model: ReferenceModel,
-        output_dir: str | Path | None,
-        keep_events: bool,
-        attempt: int = 1,
-    ) -> _Shard:
-        fault_point("shard.start", label, attempt)
-        config = self.monitor_config
-        output_path = (
-            shard_output_path(output_dir, label, config)
-            if output_dir is not None
-            else None
-        )
-        shard_registry, detector, recorder = build_shard_pipeline(
-            model,
-            self.detector_config,
-            config,
-            self.registry.names,
-            output_path=output_path,
-            keep_events=keep_events,
-        )
-        try:
-            batches = iter(shard_batches(windows, shard_registry, config))
-        except Exception:
-            # The recorder opened its .partial file above; a source that
-            # fails at activation must not leak it.
-            recorder.discard()
-            raise
-        return _Shard(
-            label, shard_registry, detector, recorder, batches,
-            source=windows, attempt=attempt,
-        )
-
-    @staticmethod
-    def _process_batch(shard: _Shard, batch: WindowBatch) -> None:
-        shard.decisions.extend(
-            score_and_record_batch(shard.detector, shard.recorder, batch)
-        )
-
-    @staticmethod
-    def _finalize(shard: _Shard, model: ReferenceModel) -> MonitorResult:
-        shard.recorder.close()
-        return MonitorResult(
-            decisions=shard.decisions,
-            report=shard.recorder.report(),
-            model=model,
-            recorded_indices=shard.recorder.recorded_indices,
-            reference_window_count=0,
-            detector_stats=detector_stats_snapshot(shard.detector),
-        )

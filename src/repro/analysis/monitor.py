@@ -72,11 +72,10 @@ def build_shard_pipeline(
 ) -> tuple[EventTypeRegistry, OnlineAnomalyDetector, SelectiveTraceRecorder]:
     """Build one shard's scoring pipeline: cloned registry, detector, recorder.
 
-    Single definition shared by the serial fleet
-    (:meth:`~repro.analysis.fleet.ShardedTraceMonitor._activate`) and the
-    process-parallel workers (:mod:`repro.analysis.parallel`): the two
-    backends advertise bit-identical results, so the objects they score with
-    must be constructed in exactly one place.
+    Single definition used by the fleet's one per-shard body
+    (:func:`~repro.analysis.parallel._run_shard`) for either executor: the
+    fleet advertises results bit-identical to single-stream runs, so the
+    objects it scores with must be constructed in exactly one place.
     """
     registry = EventTypeRegistry(tuple(registry_names))
     detector = OnlineAnomalyDetector(model, detector_config, registry)
@@ -95,8 +94,8 @@ def shard_output_path(
 ) -> Path:
     """Output file of one fleet shard (suffix follows the recording format).
 
-    Single definition shared by the serial and process-parallel fleet
-    backends so their on-disk layouts cannot drift apart.
+    Single definition shared by the fleet scheduler and the manifest
+    writer so their on-disk layouts cannot drift apart.
     """
     suffix = ".bin" if monitor_config.recording_format == "binary" else ".jsonl"
     return Path(output_dir) / f"{label}{suffix}"
@@ -115,9 +114,9 @@ def shard_batches(
     with the configured ``window_duration_us``), a fully parameterised
     :class:`~repro.trace.stream.ColumnarWindowSource`, or a live
     :class:`~repro.trace.streaming.StreamingWindowSource` (whose batches
-    are pulled chunk by chunk with bounded memory).  Single definition
-    shared by the serial fleet and the process-parallel workers, so both
-    backends batch identically.
+    are pulled chunk by chunk with bounded memory).  Used by the fleet's
+    per-shard body for either executor, so every worker count batches
+    identically.
     """
     batch_size = max(monitor_config.batch_size, 1)
     if isinstance(source, TraceColumns):
@@ -134,9 +133,9 @@ def shard_batches(
 def detector_stats_snapshot(detector: OnlineAnomalyDetector) -> dict[str, float]:
     """Counter snapshot of a detector, as stored in ``MonitorResult``.
 
-    Single definition shared by :class:`TraceMonitor`, the serial fleet and
-    the process-parallel fleet workers, so the stats dictionaries compared by
-    the equivalence suites cannot drift apart structurally.
+    Single definition shared by :class:`TraceMonitor` and the fleet's
+    per-shard body, so the stats dictionaries compared by the equivalence
+    suites cannot drift apart structurally.
     """
     return {
         "windows_processed": detector.n_processed,

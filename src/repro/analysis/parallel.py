@@ -1,49 +1,64 @@
-"""Process-parallel execution backend for the sharded monitoring fleet.
+"""Fleet scheduler: one retry/isolate/abort loop over an inline or pool executor.
 
-The serial :class:`~repro.analysis.fleet.ShardedTraceMonitor` interleaves
-every shard in one Python thread, so adding streams adds wall-clock time
-almost linearly.  This module moves whole shards to worker processes:
+:meth:`~repro.analysis.fleet.ShardedTraceMonitor.monitor_shards` hands every
+run to :func:`schedule_shards`.  The scheduler runs the fleet in **waves**:
+each wave submits a set of shards to an *executor*, which runs every shard
+to completion and returns one :class:`_ShardOutcome` per shard — it never
+decides policy.  The scheduler then applies the failure policy, which
+exists only here:
 
-* the fitted :class:`~repro.analysis.model.ReferenceModel` is pickled **once**
-  and shipped to each worker at pool start-up (the model drops its
-  identity-keyed projection cache on pickling and is strictly read-only
-  afterwards — workers never write to it);
-* each shard is one unit of work: the worker clones the fleet's base
-  event-type registry, builds its own detector and recorder (recorders are
-  worker-local by construction — they refuse to pickle), and drives the
-  shard's windows through the exact same
-  :func:`~repro.analysis.monitor.score_and_record_batch` plane the serial
-  fleet uses;
-* per-shard outcomes are marshalled back as plain picklable pieces
-  (decisions, report, recorded indices, detector counters) and merged in
-  **submission order**, so the resulting
-  :class:`~repro.analysis.fleet.FleetResult` is bit-identical to the serial
-  fleet's regardless of which worker finished first (the PR 2 equivalence
-  suite runs against both backends).
+* failed shards with a replayable source (:func:`source_replayable`) and
+  ``MonitorConfig.shard_retries`` budget left are re-run from scratch in
+  the next wave, after ``n * shard_retry_backoff_s`` seconds for failed
+  attempt ``n`` — a retried shard's results are bit-identical to a
+  fault-free run;
+* ``shard_failure_policy="isolate"`` quarantines terminal failures and
+  returns the survivors;
+* ``"abort"`` (the default) raises the first terminal failure in
+  submission order — but only after every submitted shard has run to
+  completion and committed its output, so a bad stream never leaves a
+  sibling recording truncated.  A failure raised in this process is
+  re-raised as the original exception; a failure in a worker process
+  becomes :class:`~repro.errors.FleetError` naming the shard.
 
-Failure propagation: a worker exception is caught inside the worker, carried
-back as data and re-raised in the parent as :class:`~repro.errors.FleetError`
-naming the failing shard — never a hang, and never a lost traceback.  All
-shards run to completion (closing their output files) before the error is
-raised, so a single bad stream cannot leave sibling recordings truncated.
+Both executors run the same per-shard body, :func:`_run_shard`: it clones
+the fleet's base event-type registry, builds the shard's own detector and
+recorder (:func:`~repro.analysis.monitor.build_shard_pipeline`), drives
+the windows through :func:`~repro.analysis.monitor.score_and_record_batch`,
+commits the output file by atomic rename only on a clean run and discards
+the ``.partial`` file otherwise.  Results are merged in submission order,
+so the :class:`~repro.analysis.fleet.FleetResult` is bit-identical for any
+worker count.
 
-The one semantic difference from the serial backend: shard window iterables
-are materialised in the parent before submission (workers must be able to
-see them), so the parallel path trades memory proportional to the fleet for
-multi-core scaling.  ``MonitorConfig.max_active_shards`` does not apply —
-at most ``fleet_workers`` shards are in flight at any moment.  Two shard
-kinds escape the up-front materialisation through **bounded per-shard
-channels** instead (see `Chunked transport`_ below): live
-:class:`~repro.trace.streaming.StreamingWindowSource` shards (always), and
-plain window iterables when ``MonitorConfig.shard_chunk_windows`` is set.
+* **inline** (``MonitorConfig.fleet_workers == 1``) — shards run one after
+  another in this process against the parent's model.  Each source is
+  passed through untouched: one-shot iterators and live
+  :class:`~repro.trace.streaming.StreamingWindowSource` shards are
+  consumed in place, never materialised, pickled or sent over a channel,
+  so a streaming shard keeps its bounded memory.
+* **pool** (``fleet_workers > 1``) — whole shards are partitioned across a
+  :class:`~concurrent.futures.ProcessPoolExecutor`.  The fitted
+  :class:`~repro.analysis.model.ReferenceModel` is pickled **once** and
+  shipped to each worker at pool start-up (it drops its identity-keyed
+  projection cache on pickling and is read-only afterwards); recorders
+  stay worker-local (they refuse to pickle); outcomes come back as plain
+  picklable pieces.  A worker exception is caught inside the worker and
+  carried back as data — never a hang, never a lost traceback — and a
+  worker hard-killed mid-shard (which breaks the whole pool) becomes a
+  per-shard failure for every shard it took down.  Each wave gets a fresh
+  pool, so a retry wave after a broken pool starts from clean state.
+  Plain window iterables are materialised in the parent before submission
+  (workers must be able to see them); streaming shards, and window
+  iterables when ``MonitorConfig.shard_chunk_windows`` is set, travel over
+  **bounded per-shard channels** instead (see `Chunked transport`_ below).
 
 Window transport
 ----------------
 Scoring a window costs far less CPU than pickling its events (the batch
 plane reduced per-window compute to a few microseconds, while a
 ``TraceWindow`` of a few hundred events costs milliseconds to serialise),
-so shipping windows through the pool's pickle queue would make the parallel
-fleet slower than the serial one at any core count.  On platforms with the
+so shipping windows through the pool's pickle queue would make the pool
+slower than the inline executor at any core count.  On platforms with the
 ``fork`` start method the materialised shard windows are therefore
 **inherited**: the parent parks them in a module global, pins a fork
 context, and the work order carries only the shard label — the bulk data
@@ -86,7 +101,8 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -114,7 +130,7 @@ from .recorder import RecorderReport
 
 __all__ = [
     "fork_transport_available",
-    "monitor_shards_parallel",
+    "schedule_shards",
     "source_replayable",
 ]
 
@@ -123,7 +139,8 @@ _LOGGER = get_logger("analysis.parallel")
 
 @dataclass(frozen=True)
 class _WorkerState:
-    """Read-only context shipped to every worker once, at pool start-up."""
+    """Read-only shard context: the inline executor uses it as is, the pool
+    ships it to every worker once, at pool start-up."""
 
     model: ReferenceModel
     detector_config: DetectorConfig
@@ -133,10 +150,12 @@ class _WorkerState:
 
 @dataclass(frozen=True)
 class _ShardTask:
-    """One shard's work order (everything here must pickle cheaply).
+    """One shard's work order.
 
-    ``windows`` is ``None`` when the shard's window source travels via fork
-    inheritance (:data:`_SHARD_WINDOWS`) instead of the pickle queue.
+    The inline executor puts the shard's source in ``windows`` untouched.
+    For the pool everything here must pickle cheaply: ``windows`` is
+    ``None`` when the shard's window source travels via fork inheritance
+    (:data:`_SHARD_WINDOWS`) or a channel instead of the pickle queue.
     Columnar sources (:class:`~repro.trace.columns.TraceColumns` /
     :class:`~repro.trace.stream.ColumnarWindowSource`) are flat arrays plus
     one raw buffer, cheap enough to pickle that spawn-only platforms lose
@@ -145,7 +164,11 @@ class _ShardTask:
 
     label: str
     windows: (
-        tuple[TraceWindow, ...] | TraceColumns | ColumnarWindowSource | None
+        Iterable[TraceWindow]
+        | TraceColumns
+        | ColumnarWindowSource
+        | StreamingWindowSource
+        | None
     )
     output_path: Path | None
     keep_events: bool
@@ -170,7 +193,10 @@ class _ShardOutcome:
 
     The parent re-attaches the shared model when assembling the
     :class:`MonitorResult`, so the (large) model never travels back through
-    the result queue N times.
+    the result queue N times.  ``exception`` is the live failure, kept only
+    in the process that raised it: it is dropped on pickling (an exception
+    may not pickle, and its traceback never does), so ``abort`` re-raises
+    it for inline shards and reports worker failures by ``error`` text.
     """
 
     label: str
@@ -179,6 +205,10 @@ class _ShardOutcome:
     recorded_indices: list[int] = field(default_factory=list)
     detector_stats: dict[str, float] = field(default_factory=dict)
     error: str | None = None
+    exception: BaseException | None = None
+
+    def __getstate__(self) -> dict[str, object]:
+        return {**self.__dict__, "exception": None}
 
 
 #: Per-process worker context, set by :func:`_initialize_worker`.
@@ -328,16 +358,21 @@ def _initialize_worker(payload: bytes) -> None:
     _WORKER_STATE = pickle.loads(payload)
 
 
-def _run_shard(task: _ShardTask) -> _ShardOutcome:
-    """Monitor one shard inside a worker process.
+def _run_shard(task: _ShardTask, state: _WorkerState | None = None) -> _ShardOutcome:
+    """Monitor one shard: the only per-shard body, for both executors.
 
-    Mirrors the serial fleet's per-shard pipeline exactly: cloned base
-    registry, per-shard detector and recorder, ``score_and_record_batch``
-    over ``batch_windows`` micro-batches.  Exceptions are marshalled back as
-    data — raising across the pool boundary would lose the shard label and
-    can hang brittle pool implementations on unpicklable exceptions.
+    Cloned base registry, per-shard detector and recorder,
+    ``score_and_record_batch`` over ``batch_size`` micro-batches.  The
+    inline executor passes its own ``state``; pool workers use the
+    :data:`_WORKER_STATE` installed at start-up and resolve windows the
+    pool shipped by pickle, fork inheritance or channel.  Exceptions are
+    marshalled back as data — raising across the pool boundary would lose
+    the shard label and can hang brittle pool implementations on
+    unpicklable exceptions — with the live exception kept on the outcome
+    for in-process re-raising.
     """
-    state = _WORKER_STATE
+    if state is None:
+        state = _WORKER_STATE
     if state is None:
         return _ShardOutcome(
             label=task.label, error="worker process was never initialised"
@@ -411,19 +446,35 @@ def _run_shard(task: _ShardTask) -> _ShardOutcome:
         return _ShardOutcome(
             label=task.label,
             error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+            exception=exc,
         )
 
 
-def _run_wave(
+def _run_inline_wave(
+    state: _WorkerState,
+    tasks: Sequence[_ShardTask],
     sources: "Mapping[str, Iterable[TraceWindow] | TraceColumns | ColumnarWindowSource | StreamingWindowSource]",
-    attempts: Mapping[str, int],
+) -> dict[str, _ShardOutcome]:
+    """Inline executor: run each shard to completion in this process.
+
+    Sources are handed to :func:`_run_shard` untouched — no pickling, no
+    fork staging, no channels — so one-shot iterators and live streams are
+    consumed in place with their own memory bounds.
+    """
+    return {
+        task.label: _run_shard(replace(task, windows=sources[task.label]), state)
+        for task in tasks
+    }
+
+
+def _run_pool_wave(
     payload: bytes,
     monitor_config: MonitorConfig,
-    output_dir: str | Path | None,
-    keep_events: bool,
     diagnostics: list[str],
+    tasks: Sequence[_ShardTask],
+    sources: "Mapping[str, Iterable[TraceWindow] | TraceColumns | ColumnarWindowSource | StreamingWindowSource]",
 ) -> dict[str, _ShardOutcome]:
-    """Run one wave of shards through a fresh process pool.
+    """Pool executor: run one wave of shards through a fresh process pool.
 
     Every shard in the wave gets exactly one :class:`_ShardOutcome` — a
     worker exception arrives marshalled as data, and a pool-level failure
@@ -436,7 +487,7 @@ def _run_wave(
     clean state.
     """
     global _SHARD_WINDOWS, _SHARD_CHANNELS
-    labels = list(sources)
+    sources = {task.label: sources[task.label] for task in tasks}
     use_fork = fork_transport_available()
     # Shards routed through bounded channels instead of materialisation:
     # live streaming sources always (they may be unbounded), plain window
@@ -474,37 +525,22 @@ def _run_wave(
             channels = {
                 label: manager.Queue(maxsize=depth) for label in chunked
             }
-    tasks = []
-    for label in labels:
-        output_path = (
-            shard_output_path(output_dir, label, monitor_config)
-            if output_dir is not None
-            else None
-        )
-        if label in chunked:
-            kind, source = chunked[label]
-            tasks.append(
-                _ShardTask(
-                    label,
-                    None,
-                    output_path,
-                    keep_events,
-                    chunk_kind=kind,
-                    recipe=source.recipe if kind == "columns" else None,
-                    channel=None if use_fork else channels[label],
-                    attempt=attempts[label],
-                )
+    # Fill in each work order's transport: a channel, the pickled windows,
+    # or nothing at all (fork inheritance through _SHARD_WINDOWS).
+    orders = []
+    for task in tasks:
+        if task.label in chunked:
+            kind, source = chunked[task.label]
+            task = replace(
+                task,
+                chunk_kind=kind,
+                recipe=source.recipe if kind == "columns" else None,
+                channel=None if use_fork else channels[task.label],
             )
-        else:
-            tasks.append(
-                _ShardTask(
-                    label,
-                    None if use_fork else materialised[label],
-                    output_path,
-                    keep_events,
-                    attempt=attempts[label],
-                )
-            )
+        elif not use_fork:
+            task = replace(task, windows=materialised[task.label])
+        orders.append(task)
+    tasks = orders
     workers = max(1, min(monitor_config.fleet_workers, len(tasks)))
     _LOGGER.info(
         "parallel fleet wave: %d shards across %d worker processes "
@@ -616,7 +652,7 @@ def _run_wave(
     return outcomes
 
 
-def monitor_shards_parallel(
+def schedule_shards(
     shards: "Mapping[str, Iterable[TraceWindow] | TraceColumns | ColumnarWindowSource | StreamingWindowSource]",
     model: ReferenceModel,
     detector_config: DetectorConfig,
@@ -625,18 +661,18 @@ def monitor_shards_parallel(
     output_dir: str | Path | None = None,
     keep_events: bool = False,
 ) -> tuple[dict[str, MonitorResult], dict[str, ShardOutcome], tuple[str, ...]]:
-    """Run every shard in a process pool; results keyed in submission order.
+    """Run every shard through the executor ``fleet_workers`` selects.
 
     The caller (:meth:`ShardedTraceMonitor.monitor_shards`) has already
-    validated the model and label uniqueness.  Failed shards are retried in
-    fresh pool waves while ``MonitorConfig.shard_retries`` budget remains
-    and their source is replayable (:func:`source_replayable`); a retried
-    shard re-runs from scratch, so its results are bit-identical to a
-    fault-free run.  Terminal failures follow
-    ``MonitorConfig.shard_failure_policy``: ``"abort"`` raises
-    :class:`FleetError` naming the first failing shard (in submission
-    order) after every shard has finished, ``"isolate"`` quarantines the
-    shard and returns the survivors.
+    validated the model and label uniqueness.  Shards run in waves; failed
+    shards are retried in the next wave while ``MonitorConfig.shard_retries``
+    budget remains and their source is replayable
+    (:func:`source_replayable`).  Terminal failures follow
+    ``MonitorConfig.shard_failure_policy``: ``"isolate"`` quarantines the
+    shard and returns the survivors; ``"abort"`` raises the first failure
+    in submission order once every shard has finished — the original
+    exception when the shard ran in this process, :class:`FleetError`
+    naming the shard when it ran in a worker.
 
     Returns ``(results, outcomes, diagnostics)``: per-shard
     :class:`MonitorResult` for succeeded shards, one
@@ -646,87 +682,95 @@ def monitor_shards_parallel(
     labels = list(shards)
     retries = monitor_config.shard_retries
     backoff = monitor_config.shard_retry_backoff_s
-    payload = pickle.dumps(
-        _WorkerState(
-            model, detector_config, monitor_config, tuple(registry_names)
-        ),
-        protocol=pickle.HIGHEST_PROTOCOL,
+    state = _WorkerState(
+        model, detector_config, monitor_config, tuple(registry_names)
     )
     diagnostics: list[str] = []
+    if monitor_config.fleet_workers == 1:
+        run_wave = partial(_run_inline_wave, state)
+    else:
+        payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        run_wave = partial(_run_pool_wave, payload, monitor_config, diagnostics)
     final: dict[str, _ShardOutcome] = {}
-    attempts: dict[str, int] = {label: 1 for label in labels}
+    attempts: dict[str, int] = dict.fromkeys(labels, 1)
     wave = labels
-    try:
-        while wave:
-            wave_outcomes = _run_wave(
-                {label: shards[label] for label in wave},
-                attempts,
-                payload,
-                monitor_config,
-                output_dir,
+    while wave:
+        tasks = [
+            _ShardTask(
+                label,
+                None,
+                None
+                if output_dir is None
+                else shard_output_path(output_dir, label, monitor_config),
                 keep_events,
-                diagnostics,
+                attempt=attempts[label],
             )
-            retry_next: list[str] = []
-            for label in wave:
-                outcome = wave_outcomes[label]
-                if outcome.error is None:
-                    final[label] = outcome
-                    continue
-                attempt = attempts[label]
-                if attempt <= retries and source_replayable(shards[label]):
-                    _LOGGER.warning(
-                        "shard %r attempt %d failed, retrying: %s",
-                        label,
-                        attempt,
-                        outcome.error,
-                    )
-                    attempts[label] = attempt + 1
-                    retry_next.append(label)
-                else:
-                    final[label] = outcome
-            if retry_next and backoff > 0.0:
-                # All shards in a retry wave share the same attempt number
-                # (wave k holds exactly the shards that failed k-1 times).
-                time.sleep(backoff * (attempts[retry_next[0]] - 1))
-            wave = retry_next
-    except FleetError:
-        raise
-    except Exception as exc:
-        # Pool construction / task pickling failures: anything that escaped
-        # both the in-worker marshalling and the per-future capture.
-        raise FleetError(f"parallel fleet execution failed: {exc}") from exc
+            for label in wave
+        ]
+        try:
+            wave_outcomes = run_wave(tasks, shards)
+        except Exception as exc:
+            # Pool construction / task pickling failures: anything that
+            # escaped both the per-shard marshalling and the per-future
+            # capture.
+            raise FleetError(f"fleet execution failed: {exc}") from exc
+        retry_next: list[str] = []
+        for label in wave:
+            outcome = wave_outcomes[label]
+            attempt = attempts[label]
+            if (
+                outcome.error is not None
+                and attempt <= retries
+                and source_replayable(shards[label])
+            ):
+                _LOGGER.warning(
+                    "shard %r attempt %d failed, retrying: %s",
+                    label,
+                    attempt,
+                    outcome.error,
+                )
+                attempts[label] = attempt + 1
+                retry_next.append(label)
+            else:
+                final[label] = outcome
+        if retry_next and backoff > 0.0:
+            # All shards in a retry wave share the same attempt number
+            # (wave k holds exactly the shards that failed k-1 times).
+            time.sleep(backoff * (attempts[retry_next[0]] - 1))
+        wave = retry_next
     results: dict[str, MonitorResult] = {}
     outcomes: dict[str, ShardOutcome] = {}
-    first_failure: ShardOutcome | None = None
+    first_failure: _ShardOutcome | None = None
     for label in labels:
-        worker_outcome = final[label]
-        if worker_outcome.error is not None:
+        shard_outcome = final[label]
+        if shard_outcome.error is not None:
             outcomes[label] = ShardOutcome(
-                label, "failed", attempts[label], error=worker_outcome.error
+                label, "failed", attempts[label], error=shard_outcome.error
             )
             if first_failure is None:
-                first_failure = outcomes[label]
+                first_failure = shard_outcome
             _LOGGER.error(
                 "shard %r failed after %d attempt(s): %s",
                 label,
                 attempts[label],
-                worker_outcome.error,
+                shard_outcome.error,
             )
             continue
         outcomes[label] = ShardOutcome(label, "ok", attempts[label])
         results[label] = MonitorResult(
-            decisions=worker_outcome.decisions,
-            report=worker_outcome.report,
+            decisions=shard_outcome.decisions,
+            report=shard_outcome.report,
             model=model,
-            recorded_indices=worker_outcome.recorded_indices,
+            recorded_indices=shard_outcome.recorded_indices,
             reference_window_count=0,
-            detector_stats=worker_outcome.detector_stats,
+            detector_stats=shard_outcome.detector_stats,
         )
     if (
         first_failure is not None
         and monitor_config.shard_failure_policy == "abort"
     ):
+        if first_failure.exception is not None:
+            raise first_failure.exception
         raise FleetError(
             f"shard {first_failure.label!r} failed in a worker process: "
             f"{first_failure.error}"

@@ -121,21 +121,14 @@ class MonitorConfig:
         self-describing segment per recorded window, so the persisted body
         bytes match the accounted ``window_bytes`` exactly and the file
         round-trips through :func:`~repro.trace.reader.read_trace`.
-    max_active_shards:
-        Upper bound on the number of stream shards a
-        :class:`~repro.analysis.fleet.ShardedTraceMonitor` keeps open
-        concurrently (detector state, recorder, output file).  ``None``
-        (default) opens every shard at once; a finite bound caps memory and
-        file handles on very wide fleets — results are identical either way.
-        Only the serial backend schedules shards; with ``fleet_workers > 1``
-        the worker count bounds concurrency instead.
     fleet_workers:
-        Number of worker processes the sharded fleet partitions its shards
-        across.  ``1`` (default) keeps the historical single-process
-        interleaved execution; larger values run whole shards in a
-        :class:`concurrent.futures.ProcessPoolExecutor`
-        (:mod:`repro.analysis.parallel`) for multi-core scaling, with
-        results bit-identical to the serial fleet.
+        Executor of the sharded fleet's scheduler
+        (:mod:`repro.analysis.parallel`).  ``1`` (default) runs shards one
+        after another in this process, consuming each source in place;
+        larger values partition whole shards across that many worker
+        processes of a :class:`concurrent.futures.ProcessPoolExecutor` for
+        multi-core scaling.  Results, output files and the manifest are
+        bit-identical for any worker count.
     knn_backend:
         k-NN index used for reference scoring: one of ``"brute"``,
         ``"kdtree"``, ``"grid"``, ``"balltree"`` or ``"auto"`` (default).
@@ -146,24 +139,27 @@ class MonitorConfig:
     stream_queue_depth:
         Depth of the bounded hand-off queues used by the streaming ingest
         plane (:mod:`repro.trace.streaming`) and the chunked per-shard
-        channels of the parallel fleet backend.  Deeper queues smooth
+        channels of the fleet's process-pool executor.  Deeper queues smooth
         producer/consumer jitter at the cost of more buffered chunks in
         memory; must be >= 1.
     shard_chunk_windows:
-        When set, the parallel fleet backend feeds plain window-iterable
+        When set, the fleet's process-pool executor feeds plain window-iterable
         shards to workers in bounded chunks of this many windows instead of
         materialising the full shard list up front (streaming shards are
         always fed chunked).  ``None`` (default) keeps the historical
         fully-materialised hand-off for list/iterator shards.
     shard_failure_policy:
-        What the sharded fleet does when one shard fails.  ``"abort"``
-        (default, the historical behaviour) tears the whole run down and
-        re-raises the shard's error as a :class:`~repro.errors.FleetError`.
-        ``"isolate"`` quarantines the failing shard — its partial output
-        file is discarded, its failure is reported as a
+        What the sharded fleet does when one shard fails.  Either way the
+        failing shard's partial output file is discarded and every sibling
+        shard runs to completion with bit-identical results and committed
+        output.  ``"abort"`` (default) then raises the first failure in
+        submission order: the original exception when the shard ran in
+        this process (``fleet_workers == 1``), a
+        :class:`~repro.errors.FleetError` naming the shard when it ran in a
+        worker.  ``"isolate"`` instead quarantines the failing shard and
+        reports its failure as a
         :class:`~repro.analysis.fleet.ShardOutcome` on the
-        :class:`~repro.analysis.fleet.FleetResult` — while sibling shards
-        run to completion with bit-identical results.
+        :class:`~repro.analysis.fleet.FleetResult`.
     shard_retries:
         Number of times a failed shard is re-run from scratch before it is
         quarantined (``"isolate"``) or aborts the fleet (``"abort"``).  Only
@@ -184,7 +180,6 @@ class MonitorConfig:
     batch_size: int = 1
     io_buffer_bytes: int = 65_536
     recording_format: str = "jsonl"
-    max_active_shards: int | None = None
     fleet_workers: int = 1
     knn_backend: str = "auto"
     stream_queue_depth: int = 8
@@ -206,10 +201,6 @@ class MonitorConfig:
         _require(
             self.recording_format in {"jsonl", "binary"},
             "recording_format must be 'jsonl' or 'binary'",
-        )
-        _require(
-            self.max_active_shards is None or self.max_active_shards >= 1,
-            "max_active_shards must be None or >= 1",
         )
         _require(self.fleet_workers >= 1, "fleet_workers must be >= 1")
         _require(
@@ -379,6 +370,12 @@ class EnduranceConfig:
         )
 
 
+#: Keys older versions of :func:`save_config` wrote that no longer configure
+#: anything; :func:`config_from_dict` drops them so old files still load.
+_RETIRED_KEYS: Mapping[str, frozenset[str]] = {
+    "monitor": frozenset({"max_active_shards"}),
+}
+
 _CONFIG_TYPES: Mapping[str, type] = {
     "detector": DetectorConfig,
     "monitor": MonitorConfig,
@@ -399,7 +396,8 @@ def config_from_dict(data: Mapping[str, Any]) -> EnduranceConfig:
     """Build an :class:`EnduranceConfig` from a (possibly partial) mapping.
 
     Unknown keys raise :class:`ConfigurationError` instead of being silently
-    ignored, so typos in experiment scripts are caught early.
+    ignored, so typos in experiment scripts are caught early; only the
+    retired keys in :data:`_RETIRED_KEYS` are dropped.
     """
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
@@ -407,12 +405,15 @@ def config_from_dict(data: Mapping[str, Any]) -> EnduranceConfig:
             raise ConfigurationError(f"unknown configuration section: {key!r}")
         section_type = _CONFIG_TYPES[key]
         field_names = {f.name for f in dataclasses.fields(section_type)}
-        unknown = set(value) - field_names
+        retired = _RETIRED_KEYS.get(key, frozenset())
+        unknown = set(value) - field_names - retired
         if unknown:
             raise ConfigurationError(
                 f"unknown keys in section {key!r}: {sorted(unknown)}"
             )
-        kwargs[key] = section_type(**value)
+        kwargs[key] = section_type(
+            **{name: item for name, item in value.items() if name not in retired}
+        )
     return EnduranceConfig(**kwargs)
 
 

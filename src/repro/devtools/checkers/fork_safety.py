@@ -1,6 +1,6 @@
 """Fork-safety rules.
 
-The parallel fleet backend forks worker processes (where the ``fork``
+The fleet's process-pool executor forks worker processes (where the ``fork``
 start method is the platform default) and deliberately passes bulk data
 through inherited module globals (:data:`repro.analysis.parallel._SHARD_WINDOWS`
 and friends).  That design is sound only under discipline:

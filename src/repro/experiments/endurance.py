@@ -212,8 +212,8 @@ def run_fleet_endurance_experiment(
 
     ``fleet_workers`` overrides ``config.monitor.fleet_workers``: with a
     value > 1 the shards run in a worker-process pool
-    (:mod:`repro.analysis.parallel`) — results are bit-identical to the
-    serial fleet for any worker count.
+    (:mod:`repro.analysis.parallel`) — results are bit-identical for any
+    worker count.
 
     ``ingest`` selects the shard hand-off: ``"objects"`` (default) feeds
     per-window object iterators, ``"columnar"`` converts each simulated

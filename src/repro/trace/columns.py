@@ -912,7 +912,8 @@ class JsonColumnsDecoder:
                     args = record.get("args", {})
                     if type(args) is not dict:
                         args = dict(args)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    # OverflowError: int() of an Infinity literal.
                     if skip:
                         corrupt.append(line_no)
                         continue

@@ -252,5 +252,6 @@ class TraceEvent:
                 task=str(data.get("task", "")),
                 args=dict(data.get("args", {})),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of an Infinity literal.
             raise TraceFormatError(f"malformed event record: {data!r}") from exc

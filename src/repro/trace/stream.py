@@ -644,8 +644,8 @@ class ColumnarWindowSource:
     """A columnar trace plus its windowing recipe, usable as a fleet shard.
 
     The sharded fleet accepts these wherever it accepts window iterables:
-    the serial backend cuts batches in-process, while the process-parallel
-    backend ships the whole object to a worker — a handful of flat arrays
+    the inline executor cuts batches in-process, while the process-pool
+    executor ships the whole object to a worker — a handful of flat arrays
     and one raw buffer, far cheaper to pickle than a list of event objects
     on spawn-only platforms.
 

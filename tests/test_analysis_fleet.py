@@ -4,11 +4,12 @@ The contract being locked down: a :class:`ShardedTraceMonitor` run over N
 labelled streams must be *bit-identical* — decisions, KL divergences, LOF
 scores, recorded window indices, byte accounting, detector counters, output
 files — to N independent :class:`TraceMonitor` runs over the same fitted
-model, regardless of batch size, shard scheduling caps, submission order
-**or execution backend**: the process-parallel fleet
-(``MonitorConfig.fleet_workers > 1``) must reproduce the serial fleet
-exactly, and a worker failure must surface as :class:`FleetError` naming
-the shard after every sibling shard has closed its output file.
+model, regardless of batch size, submission order **or executor**: the
+process pool (``MonitorConfig.fleet_workers > 1``) must reproduce the
+inline executor exactly, and under ``abort`` a shard failure must surface
+— as the original error in-process, as :class:`FleetError` naming the
+shard from a worker — only after every sibling shard has committed its
+complete output file.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.analysis.fleet import FleetResult, ShardedTraceMonitor
 from repro.analysis.model import ReferenceModel
 from repro.analysis.monitor import TraceMonitor
 from repro.config import DetectorConfig, MonitorConfig
-from repro.errors import FleetError, ModelError
+from repro.errors import FleetError, ModelError, TraceFormatError
 from repro.experiments.endurance import run_fleet_endurance_experiment
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import PeriodicTraceGenerator, SyntheticTraceGenerator
@@ -116,26 +117,6 @@ class TestFleetEquivalence:
         assert fleet_result.shard_labels == tuple(stream_windows)
         for label in stream_windows:
             assert_shard_equals_solo(fleet_result.shard(label), solo_results[label])
-
-    def test_max_active_shards_does_not_change_results(
-        self, base_registry, shared_model, stream_windows
-    ):
-        detector_config = DetectorConfig(k_neighbours=K, lof_threshold=1.2)
-        reference = None
-        for cap in (None, 1, 2, 3):
-            monitor_config = MonitorConfig(batch_size=16, max_active_shards=cap)
-            fleet = ShardedTraceMonitor(
-                detector_config, monitor_config, EventTypeRegistry(base_registry.names)
-            )
-            result = fleet.monitor_shards(
-                {label: iter(windows) for label, windows in stream_windows.items()},
-                shared_model,
-            )
-            payload = result.to_dict()
-            if reference is None:
-                reference = payload
-            else:
-                assert payload == reference
 
     def test_deterministic_across_repeated_runs(
         self, base_registry, shared_model, stream_windows
@@ -372,7 +353,7 @@ class TestParallelFleetEquivalence:
 
 
 class TestParallelFleetFailures:
-    """Worker failures must surface as FleetError, never as a hang."""
+    """Shard failures must surface after the siblings finish, never as a hang."""
 
     @pytest.fixture()
     def good_windows(self) -> list:
@@ -390,17 +371,32 @@ class TestParallelFleetFailures:
             )
         ]
 
+    @pytest.mark.parametrize(
+        ("fleet_workers", "raised", "match"),
+        [(1, TraceFormatError, None), (2, FleetError, "'poison'")],
+        ids=["workers=1", "workers=2"],
+    )
     def test_worker_failure_names_shard_and_closes_others(
-        self, tmp_path, base_registry, shared_model, good_windows, poison_windows
+        self,
+        tmp_path,
+        base_registry,
+        shared_model,
+        good_windows,
+        poison_windows,
+        fleet_workers,
+        raised,
+        match,
     ):
         detector_config = DetectorConfig(k_neighbours=K, lof_threshold=1.2)
         fleet = ShardedTraceMonitor(
             detector_config,
-            MonitorConfig(batch_size=8, fleet_workers=2),
+            MonitorConfig(batch_size=8, fleet_workers=fleet_workers),
             EventTypeRegistry(base_registry.names),
         )
         output_dir = tmp_path / "fleet"
-        with pytest.raises(FleetError, match="'poison'"):
+        # An in-process failure re-raises the original error; a worker
+        # failure becomes FleetError naming the shard.
+        with pytest.raises(raised, match=match):
             fleet.monitor_shards(
                 {
                     "healthy-a": iter(good_windows),
@@ -410,8 +406,9 @@ class TestParallelFleetFailures:
                 shared_model,
                 output_dir=output_dir,
             )
-        # Every sibling shard ran to completion and closed its output file:
-        # the recorded bytes equal an independent single-stream run's.
+        # Every sibling shard ran to completion and committed its output
+        # file before the run raised: the recorded bytes equal an
+        # independent single-stream run's, never a truncated prefix.
         solo = TraceMonitor(
             detector_config,
             MonitorConfig(batch_size=8),
@@ -436,8 +433,6 @@ class TestParallelFleetFailures:
     def test_serial_backend_propagates_failures_too(
         self, base_registry, shared_model, poison_windows
     ):
-        from repro.errors import TraceFormatError
-
         fleet = ShardedTraceMonitor(
             DetectorConfig(k_neighbours=K),
             MonitorConfig(batch_size=8),
@@ -445,6 +440,42 @@ class TestParallelFleetFailures:
         )
         with pytest.raises(TraceFormatError):
             fleet.monitor_shards({"poison": iter(poison_windows)}, shared_model)
+
+
+def test_inline_executor_consumes_sources_in_place(
+    monkeypatch, base_registry, shared_model, stream_windows
+):
+    """``fleet_workers=1`` streams a one-shot source through its shard: no
+    pool, and no up-front materialisation before the first batch scores."""
+    pulled = 0
+
+    def one_shot(windows):
+        nonlocal pulled
+        for window in windows:
+            pulled += 1
+            yield window
+
+    pulled_at_batch = []
+    score = parallel_backend.score_and_record_batch
+
+    def spy(detector, recorder, batch):
+        pulled_at_batch.append(pulled)
+        return score(detector, recorder, batch)
+
+    def no_pool(*args):
+        raise AssertionError("the inline executor must not start a pool")
+
+    monkeypatch.setattr(parallel_backend, "score_and_record_batch", spy)
+    monkeypatch.setattr(parallel_backend, "_run_pool_wave", no_pool)
+    label, windows = next(iter(stream_windows.items()))
+    fleet = ShardedTraceMonitor(
+        DetectorConfig(k_neighbours=K, lof_threshold=1.2),
+        MonitorConfig(batch_size=8),
+        EventTypeRegistry(base_registry.names),
+    )
+    result = fleet.monitor_shards({label: one_shot(windows)}, shared_model)
+    assert result.shard(label).n_windows == len(windows)
+    assert pulled_at_batch[0] <= 8 < len(windows)
 
 
 class TestParallelWorkerInternals:

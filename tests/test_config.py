@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from repro.config import (
     save_config,
 )
 from repro.errors import ConfigurationError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestValidation:
@@ -155,6 +158,27 @@ class TestSerialization:
         config = EnduranceConfig.scaled_paper_setup(duration_s=1200.0, seed=9)
         path = save_config(config, tmp_path / "experiment.json")
         assert load_config(path) == config
+
+    def test_loads_file_with_retired_max_active_shards(self):
+        """A config saved while ``MonitorConfig.max_active_shards`` existed
+        (checked in as written by that version) still loads."""
+        path = FIXTURES / "config_with_max_active_shards.json"
+        assert '"max_active_shards": null' in path.read_text()
+        config = EnduranceConfig.scaled_paper_setup(duration_s=1200.0, seed=9)
+        expected = dataclasses.replace(
+            config,
+            monitor=dataclasses.replace(
+                config.monitor, batch_size=16, fleet_workers=2
+            ),
+        )
+        assert load_config(path) == expected
+
+    def test_retired_key_is_not_a_field(self):
+        assert "max_active_shards" not in {
+            field.name for field in dataclasses.fields(MonitorConfig)
+        }
+        with pytest.raises(TypeError):
+            MonitorConfig(max_active_shards=2)
 
     def test_load_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

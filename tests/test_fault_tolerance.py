@@ -33,7 +33,12 @@ from repro.analysis.model import ReferenceModel
 from repro.analysis.recorder import partial_output_path
 from repro.cli.main import main as cli_main
 from repro.config import DetectorConfig, MonitorConfig
-from repro.errors import FaultInjectionError, TraceFormatError, TraceStreamError
+from repro.errors import (
+    FaultInjectionError,
+    FleetError,
+    TraceFormatError,
+    TraceStreamError,
+)
 from repro.testing import FaultSpec, InjectedFault, corrupt_chunk, fault_point, inject
 from repro.testing import faults as faults_module
 from repro.trace.codec import BinaryTraceCodec
@@ -328,25 +333,64 @@ class TestStreamingQuarantine:
 
 
 # ---------------------------------------------------------------------- #
-# Serial fleet: isolation / retry / abort
+# Fleet failure policy: isolation / retry / abort, on both executors
 # ---------------------------------------------------------------------- #
-class TestSerialFaultTolerance:
+@pytest.mark.parametrize("fleet_workers", [1, 2])
+class TestFleetFaultTolerance:
+    """One scheduler owns the policy; both executors must honour it."""
+
     def fault_free(self, base_registry, shared_model, stream_windows, **kwargs):
         fleet = make_fleet(base_registry, **kwargs)
         return fleet.monitor_shards(dict(stream_windows), shared_model)
 
-    def test_abort_remains_the_default(self, base_registry, shared_model, stream_windows):
-        fleet = make_fleet(base_registry)
+    @staticmethod
+    def abort_error(fleet_workers, label):
+        """What ``abort`` raises: the original error in-process, else a
+        FleetError naming the shard."""
+        if fleet_workers == 1:
+            return pytest.raises(InjectedFault)
+        return pytest.raises(FleetError, match=f"'{label}'")
+
+    def test_abort_remains_the_default(
+        self, base_registry, shared_model, stream_windows, fleet_workers
+    ):
+        fleet = make_fleet(base_registry, fleet_workers=fleet_workers)
         assert fleet.monitor_config.shard_failure_policy == "abort"
         with inject(FaultSpec(site="shard.start", shard="dev-1")):
-            with pytest.raises(InjectedFault):
+            with self.abort_error(fleet_workers, "dev-1"):
                 fleet.monitor_shards(dict(stream_windows), shared_model)
 
-    def test_isolate_quarantines_and_siblings_are_bit_identical(
-        self, base_registry, shared_model, stream_windows
+    def test_abort_commits_every_sibling_before_raising(
+        self, tmp_path, base_registry, shared_model, stream_windows, fleet_workers
     ):
-        baseline = self.fault_free(base_registry, shared_model, stream_windows)
-        fleet = make_fleet(base_registry, shard_failure_policy="isolate")
+        """A mid-stream failure must not leave sibling recordings truncated
+        under their final names: each sibling finishes byte-exact."""
+        clean_dir = tmp_path / "clean"
+        make_fleet(base_registry, batch_size=8).monitor_shards(
+            dict(stream_windows), shared_model, output_dir=clean_dir
+        )
+        fleet = make_fleet(base_registry, batch_size=8, fleet_workers=fleet_workers)
+        output_dir = tmp_path / "aborted"
+        with inject(FaultSpec(site="shard.batch", shard="dev-1", after=2)):
+            with self.abort_error(fleet_workers, "dev-1"):
+                fleet.monitor_shards(
+                    dict(stream_windows), shared_model, output_dir=output_dir
+                )
+        for label in ("dev-0", "dev-2"):
+            committed = (output_dir / f"{label}.jsonl").read_bytes()
+            assert committed == (clean_dir / f"{label}.jsonl").read_bytes()
+        assert not (output_dir / "dev-1.jsonl").exists()
+        assert not partial_output_path(output_dir / "dev-1.jsonl").exists()
+
+    def test_isolate_quarantines_and_siblings_are_bit_identical(
+        self, base_registry, shared_model, stream_windows, fleet_workers
+    ):
+        baseline = self.fault_free(
+            base_registry, shared_model, stream_windows, fleet_workers=fleet_workers
+        )
+        fleet = make_fleet(
+            base_registry, shard_failure_policy="isolate", fleet_workers=fleet_workers
+        )
         with inject(FaultSpec(site="shard.start", shard="dev-1")):
             result = fleet.monitor_shards(dict(stream_windows), shared_model)
         assert result.degraded
@@ -361,34 +405,43 @@ class TestSerialFaultTolerance:
             assert_shard_equals(result.shard(label), baseline.shard(label))
 
     def test_isolate_mid_stream_batch_failure(
-        self, base_registry, shared_model, stream_windows
+        self, base_registry, shared_model, stream_windows, fleet_workers
     ):
         fleet = make_fleet(
-            base_registry, shard_failure_policy="isolate", batch_size=8
+            base_registry,
+            shard_failure_policy="isolate",
+            batch_size=8,
+            fleet_workers=fleet_workers,
         )
         with inject(FaultSpec(site="shard.batch", shard="dev-0", after=2)):
             result = fleet.monitor_shards(dict(stream_windows), shared_model)
         assert result.failed_labels == ("dev-0",)
         assert set(result.shard_results) == {"dev-1", "dev-2"}
 
+    @pytest.mark.parametrize("label", ["dev-1", "dev-2"])
     def test_retry_recovers_transient_fault_bit_identically(
-        self, base_registry, shared_model, stream_windows
+        self, base_registry, shared_model, stream_windows, fleet_workers, label
     ):
-        baseline = self.fault_free(base_registry, shared_model, stream_windows)
-        fleet = make_fleet(base_registry, shard_retries=1)
-        with inject(FaultSpec(site="shard.start", shard="dev-1", attempts=(1,))):
+        baseline = self.fault_free(
+            base_registry, shared_model, stream_windows, fleet_workers=fleet_workers
+        )
+        fleet = make_fleet(base_registry, shard_retries=1, fleet_workers=fleet_workers)
+        with inject(FaultSpec(site="shard.start", shard=label, attempts=(1,))):
             result = fleet.monitor_shards(dict(stream_windows), shared_model)
         assert not result.degraded
-        assert result.outcomes["dev-1"].attempts == 2
+        assert result.outcomes[label].attempts == 2
         assert result.outcomes["dev-0"].attempts == 1
-        for label in stream_windows:
-            assert_shard_equals(result.shard(label), baseline.shard(label))
+        for shard in stream_windows:
+            assert_shard_equals(result.shard(shard), baseline.shard(shard))
 
     def test_retry_budget_exhaustion_still_quarantines(
-        self, base_registry, shared_model, stream_windows
+        self, base_registry, shared_model, stream_windows, fleet_workers
     ):
         fleet = make_fleet(
-            base_registry, shard_failure_policy="isolate", shard_retries=1
+            base_registry,
+            shard_failure_policy="isolate",
+            shard_retries=1,
+            fleet_workers=fleet_workers,
         )
         with inject(
             FaultSpec(site="shard.start", shard="dev-1", attempts=(1, 2))
@@ -398,10 +451,13 @@ class TestSerialFaultTolerance:
         assert result.outcomes["dev-1"].attempts == 2
 
     def test_non_replayable_source_is_not_retried(
-        self, base_registry, shared_model, stream_windows
+        self, base_registry, shared_model, stream_windows, fleet_workers
     ):
         fleet = make_fleet(
-            base_registry, shard_failure_policy="isolate", shard_retries=2
+            base_registry,
+            shard_failure_policy="isolate",
+            shard_retries=2,
+            fleet_workers=fleet_workers,
         )
         shards = {
             label: iter(windows) for label, windows in stream_windows.items()
@@ -414,7 +470,7 @@ class TestSerialFaultTolerance:
         assert result.outcomes["dev-1"].attempts == 1
 
     def test_isolate_without_faults_is_bit_identical_to_abort(
-        self, base_registry, shared_model, stream_windows
+        self, base_registry, shared_model, stream_windows, fleet_workers
     ):
         baseline = self.fault_free(base_registry, shared_model, stream_windows)
         result = self.fault_free(
@@ -423,6 +479,7 @@ class TestSerialFaultTolerance:
             stream_windows,
             shard_failure_policy="isolate",
             shard_retries=2,
+            fleet_workers=fleet_workers,
         )
         assert not result.degraded
         for label in stream_windows:
@@ -430,50 +487,12 @@ class TestSerialFaultTolerance:
 
 
 # ---------------------------------------------------------------------- #
-# Parallel fleet: worker crashes, hard kills, retry waves
+# Process pool: worker crashes, hard kills, retry waves
 # ---------------------------------------------------------------------- #
 class TestParallelFaultTolerance:
     def run_parallel(self, base_registry, shared_model, stream_windows, **kwargs):
         fleet = make_fleet(base_registry, fleet_workers=2, **kwargs)
         return fleet.monitor_shards(dict(stream_windows), shared_model)
-
-    def test_parallel_abort_raises_fleet_error(
-        self, base_registry, shared_model, stream_windows
-    ):
-        from repro.errors import FleetError
-
-        with inject(FaultSpec(site="shard.start", shard="dev-1")):
-            with pytest.raises(FleetError, match="'dev-1'"):
-                self.run_parallel(base_registry, shared_model, stream_windows)
-
-    def test_parallel_isolate_siblings_bit_identical(
-        self, base_registry, shared_model, stream_windows
-    ):
-        baseline = self.run_parallel(base_registry, shared_model, stream_windows)
-        with inject(FaultSpec(site="shard.start", shard="dev-1")):
-            result = self.run_parallel(
-                base_registry,
-                shared_model,
-                stream_windows,
-                shard_failure_policy="isolate",
-            )
-        assert result.failed_labels == ("dev-1",)
-        assert "InjectedFault" in result.outcomes["dev-1"].error
-        for label in ("dev-0", "dev-2"):
-            assert_shard_equals(result.shard(label), baseline.shard(label))
-
-    def test_parallel_retry_recovers_bit_identically(
-        self, base_registry, shared_model, stream_windows
-    ):
-        baseline = self.run_parallel(base_registry, shared_model, stream_windows)
-        with inject(FaultSpec(site="shard.start", shard="dev-2", attempts=(1,))):
-            result = self.run_parallel(
-                base_registry, shared_model, stream_windows, shard_retries=1
-            )
-        assert not result.degraded
-        assert result.outcomes["dev-2"].attempts == 2
-        for label in stream_windows:
-            assert_shard_equals(result.shard(label), baseline.shard(label))
 
     def test_hard_kill_recovered_by_retry_wave(
         self, base_registry, shared_model, stream_windows
@@ -580,8 +599,6 @@ class TestParallelFaultTolerance:
     def test_submit_time_pool_break_aborts_naming_first_shard(
         self, monkeypatch, base_registry, shared_model, stream_windows
     ):
-        from repro.errors import FleetError
-
         self.break_pool_at_submit(monkeypatch, nth=2)
         with pytest.raises(FleetError, match="'dev-1' failed in a worker process"):
             self.run_parallel(base_registry, shared_model, stream_windows)

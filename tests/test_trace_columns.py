@@ -36,6 +36,7 @@ from repro.trace.columns import (
 from repro.trace.codec import _varint_size
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.pipeline import prefetch_batches
+from repro.trace.reader import read_trace
 from repro.trace.stream import (
     column_windows_by_count,
     column_windows_by_duration,
@@ -472,7 +473,7 @@ def oracle_json_decode(text, on_corrupt="raise", hint=""):
             core = int(record.get("core", 0))
             task = str(record.get("task", ""))
             args = dict(record.get("args", {}))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if on_corrupt == "skip":
                 corrupt.append(line_no)
                 continue
@@ -545,6 +546,7 @@ ADVERSARIAL = {
     "nan_payload": ['{"t":6,"type":"a","args":{"x":NaN,"y":-Infinity}}'],
     "nan_timestamp": ['{"t":NaN,"type":"a"}'],
     "infinite_timestamp": ['{"t":Infinity,"type":"a"}'],
+    "infinite_core": ['{"t":6,"type":"a","core":Infinity}'],
     "array_value": ["[1, 2]"],
     "string_value": ['"text"'],
     "number_value": ["42"],
@@ -617,3 +619,13 @@ def test_chunked_json_decode_matches_oracle_at_every_split(name, on_corrupt):
 
     for cut in range(len(data) + 1):
         assert outcome(decode, cut) == expected, cut
+
+
+@pytest.mark.parametrize("name", ["infinite_timestamp", "infinite_core"])
+def test_object_reader_rejects_infinite_fields(tmp_path, name):
+    """``int(float("inf"))`` raises OverflowError; the object reader reports
+    it as a malformed record, like the columnar decoders."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(adversarial_text(name), encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="malformed event record"):
+        read_trace(path)
