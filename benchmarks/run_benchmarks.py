@@ -41,21 +41,59 @@ THROUGHPUT_BENCHMARKS = [
 ]
 
 
+def timing_floor(
+    ratio: str,
+    value: float,
+    *,
+    minimum: float | None = None,
+    maximum: float | None = None,
+) -> dict:
+    """The ``extra_info["timing_floor"]`` record of one timing ratio.
+
+    A bench always records the measured ``value``; it passes the bound
+    (``minimum`` or ``maximum``) only when the bound applies, so a smoke run
+    archives the ratio without asserting it.
+    """
+    floor: dict = {"ratio": ratio, "value": value}
+    if minimum is not None:
+        floor["min"] = minimum
+    if maximum is not None:
+        floor["max"] = maximum
+    return floor
+
+
 def timing_floor_failures(stats: dict, cpu_count: int) -> list[str]:
     """Floors missed by the ratios the benches recorded in ``extra_info``.
 
+    * ``timing_floor`` (see :func:`timing_floor`): the recorded value must
+      reach its ``min`` / stay within its ``max``.  Used by the batched
+      scoring speedup, the indexed k-NN speedup at the largest reference
+      set, the fleet speedup over sequential monitoring, the columnar
+      ingest speedup, the streaming ingest overhead and the isolate
+      policy's wall time over ``abort`` on a fault-free fleet.
     * fleet worker sweep: the best speedup over the inline fleet among the
       worker counts this machine can run in parallel (2 to ``cpu_count``)
       must reach ``min_speedup``.  Not applied on one core, and not without
       the fork window transport (pickling the windows costs more than
       scoring them).
-    * isolate policy: its overhead over ``abort`` on a fault-free fleet
-      must stay within ``max_overhead``.
     """
     failures = []
     for bench in stats.get("benchmarks", []):
         info = bench.get("extra_info", {})
         name = bench.get("fullname", bench.get("name", "?"))
+        floor = info.get("timing_floor")
+        if floor is not None:
+            value = floor["value"]
+            if "min" in floor and value < floor["min"]:
+                failures.append(
+                    f"{name}: {floor['ratio']} {value:.2f}x is below "
+                    f"{floor['min']}x"
+                )
+            if "max" in floor and value > floor["max"]:
+                failures.append(
+                    f"{name}: {floor['ratio']} {value:.2f}x exceeds "
+                    f"{floor['max']}x"
+                )
         speedups = {
             int(workers): speedup
             for workers, speedup in info.get("worker_speedups", {}).items()
@@ -69,12 +107,6 @@ def timing_floor_failures(stats: dict, cpu_count: int) -> list[str]:
                     f"({workers} workers, {cpu_count} cpus) is below "
                     f"{info['min_speedup']}x"
                 )
-        overhead = info.get("isolate_overhead")
-        if overhead is not None and overhead > info["max_overhead"]:
-            failures.append(
-                f"{name}: isolate overhead {overhead * 100:+.1f}% exceeds "
-                f"{info['max_overhead'] * 100:.0f}%"
-            )
     return failures
 
 

@@ -6,7 +6,9 @@ Three claims are measured on the same synthetic streams:
   1.5x more windows per second than monitoring the streams sequentially
   with the historical per-window path, while producing bit-identical
   per-stream results (asserted before timing — a fast fleet that changes
-  decisions is worthless);
+  decisions is worthless).  The speedup is recorded
+  (``extra_info["timing_floor"]``) and ``benchmarks/run_benchmarks.py``
+  asserts the floor on the archived run;
 * the process-pool executor (``MonitorConfig.fleet_workers > 1``)
   reproduces the inline fleet bit-identically for every worker count in
   the sweep (asserted here, unconditionally), and on a multi-core machine
@@ -41,6 +43,8 @@ from repro.trace.codec import encoded_window_sizes
 from repro.trace.event import EventTypeRegistry
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
+
+from run_benchmarks import timing_floor
 
 MIX = {
     "mb_row_decode": 10.0,
@@ -154,8 +158,8 @@ def test_fleet_throughput_speedup(fleet_setup, benchmark):
         f"fleet({N_STREAMS} shards, batch {BATCH_SIZE}): {fleet_rate:,.0f} windows/s | "
         f"speedup {speedup:.2f}x"
     )
-    assert speedup >= MIN_FLEET_SPEEDUP, (
-        f"fleet only {speedup:.2f}x faster; expected >= {MIN_FLEET_SPEEDUP}x"
+    benchmark.extra_info["timing_floor"] = timing_floor(
+        "fleet/sequential windows/s", speedup, minimum=MIN_FLEET_SPEEDUP
     )
 
 

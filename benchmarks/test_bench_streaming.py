@@ -15,7 +15,9 @@ Equivalence is asserted before timing (identical decisions, reports and
 detector counters — the bit-identity guarantee of the streaming plane),
 then the streaming path must stay within ``MAX_OVERHEAD`` of one-shot: the
 price of incremental decode and chunk-boundary bookkeeping, paid for a
-bounded-memory live-follow capability the one-shot path cannot offer.
+bounded-memory live-follow capability the one-shot path cannot offer.  The
+overhead is recorded in ``extra_info["timing_floor"]`` and asserted by
+``benchmarks/run_benchmarks.py`` on the archived run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from repro.trace.event import EventTypeRegistry
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
 from repro.trace.writer import write_trace
+
+from run_benchmarks import timing_floor
 
 MIX = {
     "mb_row_decode": 10.0,
@@ -156,8 +160,8 @@ def test_streaming_ingest_overhead(streaming_setup, benchmark):
     binary_overhead = (
         rates["binary"]["one_shot"] / rates["binary"]["streaming"]
     )
-    if not SMOKE:
-        assert binary_overhead <= MAX_OVERHEAD, (
-            f"streaming follow-mode ingest costs {binary_overhead:.2f}x "
-            f"one-shot on the binary format; expected <= {MAX_OVERHEAD}x"
-        )
+    benchmark.extra_info["timing_floor"] = timing_floor(
+        "one-shot/streaming windows/s (binary)",
+        binary_overhead,
+        maximum=None if SMOKE else MAX_OVERHEAD,
+    )

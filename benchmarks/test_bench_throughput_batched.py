@@ -4,9 +4,11 @@ The vectorized plane (columnar :class:`~repro.trace.batch.WindowBatch` ->
 ``pmf_matrix`` -> batched KL gate + LOF) must produce decisions identical to
 the per-window detector while being substantially faster.  This benchmark
 drives both paths over the *same* synthetic stream, checks the decisions
-match, and asserts the batched plane processes at least 3x more windows per
-second.  The stream uses a 10k events/s rate (~400 events per 40 ms window),
-in the ballpark of the paper's platform traces (5.9 GB over 6 h 17 m).
+match, and records how many times more windows per second the batched plane
+processes (``extra_info["timing_floor"]``); ``benchmarks/run_benchmarks.py``
+asserts the 3x floor on the archived run.  The stream uses a 10k events/s
+rate (~400 events per 40 ms window), in the ballpark of the paper's
+platform traces (5.9 GB over 6 h 17 m).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.trace.batch import batch_windows
 from repro.trace.event import EventTypeRegistry
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
+
+from run_benchmarks import timing_floor
 
 #: Event mix of the synthetic stream (same shape as the per-window benchmark).
 MIX = {
@@ -111,6 +115,6 @@ def test_batched_throughput_speedup(model_and_windows, benchmark):
         f"speedup {speedup:.2f}x | real-time margin {real_time_margin:.0f}x"
     )
 
-    assert speedup >= MIN_SPEEDUP, (
-        f"batched plane only {speedup:.2f}x faster; expected >= {MIN_SPEEDUP}x"
+    benchmark.extra_info["timing_floor"] = timing_floor(
+        "batched/per-window windows/s", speedup, minimum=MIN_SPEEDUP
     )

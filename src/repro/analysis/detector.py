@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .divergence import (
     symmetric_kl_divergence_matrix,
 )
 from .model import ReferenceModel
-from .pmf import Pmf, merge_counts, pmf_from_window, pmf_matrix
+from .pmf import Pmf, _zero_extended, merge_counts, pmf_from_window, pmf_matrix
 
 __all__ = ["DetectionOutcome", "WindowDecision", "OnlineAnomalyDetector"]
 
@@ -225,7 +226,9 @@ class OnlineAnomalyDetector:
             outcome=DetectionOutcome.ANOMALOUS if anomalous else DetectionOutcome.NORMAL,
         )
 
-    def process_batch(self, batch: WindowBatch) -> list[WindowDecision]:
+    def process_batch(
+        self, batch: WindowBatch, window_bytes: Sequence[int] | None = None
+    ) -> list[WindowDecision]:
         """Process a micro-batch of windows, vectorized.
 
         Drop-in equivalent of calling :meth:`process` on each window in
@@ -239,23 +242,45 @@ class OnlineAnomalyDetector:
           windows whose KL against the batch-entry past pmf fails the gate
           (LOF scores only depend on the frozen model, never on the running
           past pmf, so a speculated score is exact whenever it is needed);
-        * a lean sequential replay over raw count rows then reproduces the
-          exact gate -> merge -> LOF decision chain, because each merge
-          changes the past pmf the *next* window is gated against.
+        * the window-side terms of the gate and the merge — smoothed
+          probabilities, their logs and ``decay * counts / totals`` — are
+          computed once per batch as matrix operations;
+        * a lean sequential replay then reproduces the exact gate -> merge
+          -> LOF decision chain, because each merge changes the past pmf the
+          *next* window is gated against.  The past's smoothed form and its
+          log are refreshed only after a merge, and the KL is
+          ``0.5 * (sum(p * d) - sum(q * d))`` with ``d = log p - log q``,
+          which equals the serial ``0.5 * (D(p||q) + D(q||p))`` bit for bit
+          (IEEE negation is exact).  A window whose KL width differs from
+          the batch width (the registry grew mid-batch and neither the
+          window nor the past spans it yet) takes the serial
+          ``_symmetric_kl_raw``/``merge_counts`` path instead.
 
         Windows gated away by the replay keep ``lof_score=None`` even when a
         speculative score existed, matching the serial path; the rare
         gate-failure that was not speculated (the past pmf drifted across
         the threshold mid-batch) is scored individually on demand.
+
+        ``window_bytes`` (one size per window, e.g.
+        :meth:`~repro.trace.batch.WindowBatch.window_sizes`) is stamped into
+        the decisions as they are built; without it ``window_bytes`` stays
+        0, as :meth:`process` leaves it.
         """
         decisions: list[WindowDecision] = []
         n_windows = len(batch)
         if n_windows == 0:
             return decisions
         config = self.config
+        smoothing = config.kl_smoothing
+        decay = config.merge_decay
+        keep = 1.0 - decay
+        gate_threshold = config.kl_threshold if config.use_kl_gate else -np.inf
+        lof_threshold = config.lof_threshold
         counts = pmf_matrix(batch, self.registry)
+        width = counts.shape[1]
         event_counts = batch.event_counts
         past_counts = self._past_pmf.counts
+        sizes = [0] * n_windows if window_bytes is None else list(window_bytes)
         # Plain-int copies for the replay loop: per-element numpy scalar
         # extraction would cost more than the arithmetic it feeds.
         indices_list = batch.indices.tolist()
@@ -264,16 +289,16 @@ class OnlineAnomalyDetector:
         counts_list = event_counts.tolist()
         dims_list = batch.dims.tolist()
 
-        # Speculative batched LOF over the likely gate failures.
+        # Speculative batched LOF over the likely gate failures, and the
+        # window-side terms of the replay.
         speculated: dict[int, float] = {}
-        probabilities: np.ndarray | None = None
         nonempty = np.flatnonzero(event_counts > 0)
         if nonempty.size:
             totals = counts.sum(axis=1)
             probabilities = counts / np.where(totals > 0.0, totals, 1.0)[:, None]
             if config.use_kl_gate:
                 speculative_kl = symmetric_kl_divergence_matrix(
-                    counts[nonempty], past_counts, smoothing=config.kl_smoothing
+                    counts[nonempty], past_counts, smoothing=smoothing
                 )
                 candidates = nonempty[
                     speculative_kl >= _SPECULATION_MARGIN * config.kl_threshold
@@ -286,6 +311,13 @@ class OnlineAnomalyDetector:
                 )
                 scores = self.model.score_vectors(vectors)
                 speculated = dict(zip(candidates.tolist(), scores.tolist()))
+            # Each row equals the serial path's 1-D ``_smooth_normalise``
+            # and ``np.log`` of the window padded to ``width``.
+            smoothed = counts + smoothing
+            smoothed /= smoothed.sum(axis=1)[:, None]
+            log_smoothed = np.log(smoothed)
+            blend_in = decay * probabilities
+            totals_list = totals.tolist()
 
         # Exact sequential replay of the gate -> merge -> LOF chain.  The
         # counters are accumulated locally and committed together with the
@@ -293,68 +325,83 @@ class OnlineAnomalyDetector:
         # detector in its batch-entry state instead of half-updated.
         n_merged = 0
         n_lof_computed = 0
+        add_reduce = np.add.reduce  # ``ndarray.sum`` minus its Python wrapper
+        # The past padded to ``width``, smoothed, and its log: refreshed on
+        # the first full-width window after a merge.
+        past_smoothed: np.ndarray | None = None
+        log_past: np.ndarray
         for i in range(n_windows):
-            index = indices_list[i]
-            start_us = starts_list[i]
-            end_us = ends_list[i]
             n_events = counts_list[i]
             if n_events == 0:
                 decisions.append(
                     WindowDecision(
-                        window_index=index,
-                        start_us=start_us,
-                        end_us=end_us,
+                        window_index=indices_list[i],
+                        start_us=starts_list[i],
+                        end_us=ends_list[i],
                         n_events=0,
                         kl_to_past=float("nan"),
                         lof_score=None,
                         outcome=DetectionOutcome.EMPTY,
+                        window_bytes=sizes[i],
                     )
                 )
                 continue
             # dims[i] is the registry size right after this window was coded,
-            # so the slice matches the serial pmf's dimensionality exactly
-            # (KL smoothing is sensitive to the padded width).
-            current = counts[i, : dims_list[i]]
-            kl = _symmetric_kl_raw(current, past_counts, config.kl_smoothing)
-            if config.use_kl_gate and kl < config.kl_threshold:
-                past_counts = merge_counts(past_counts, current, config.merge_decay)
+            # so the serial KL pads the window and the past to
+            # max(dims[i], len(past)) (KL smoothing is sensitive to the width).
+            dims = dims_list[i]
+            full_width = dims == width or len(past_counts) == width
+            if full_width:
+                if past_smoothed is None:
+                    past_smoothed = _zero_extended(past_counts, width) + smoothing
+                    past_smoothed /= add_reduce(past_smoothed)
+                    log_past = np.log(past_smoothed)
+                d = log_smoothed[i] - log_past
+                kl = 0.5 * (
+                    float(add_reduce(smoothed[i] * d))
+                    - float(add_reduce(past_smoothed * d))
+                )
+            else:
+                kl = _symmetric_kl_raw(counts[i, :dims], past_counts, smoothing)
+            score: float | None = None
+            if kl < gate_threshold:
                 n_merged += 1
-                decisions.append(
-                    WindowDecision(
-                        window_index=index,
-                        start_us=start_us,
-                        end_us=end_us,
-                        n_events=n_events,
-                        kl_to_past=kl,
-                        lof_score=None,
-                        outcome=DetectionOutcome.MERGED,
+                outcome = DetectionOutcome.MERGED
+                merge = True
+            else:
+                score = speculated.get(i)
+                if score is None:
+                    vector = self.model.vectors_for(
+                        probabilities[i : i + 1], self.registry
                     )
+                    score = float(self.model.score_vectors(vector)[0])
+                n_lof_computed += 1
+                anomalous = score >= lof_threshold
+                merge = not anomalous
+                outcome = (
+                    DetectionOutcome.ANOMALOUS if anomalous else DetectionOutcome.NORMAL
                 )
-                continue
-            score = speculated.get(i)
-            if score is None:
-                assert probabilities is not None
-                vector = self.model.vectors_for(
-                    probabilities[i : i + 1], self.registry
-                )
-                score = float(self.model.score_vectors(vector)[0])
-            n_lof_computed += 1
-            anomalous = score >= config.lof_threshold
-            if not anomalous:
-                past_counts = merge_counts(past_counts, current, config.merge_decay)
+            if merge:
+                # ``merge_counts`` with the window side precomputed.
+                past_total = float(add_reduce(past_counts))
+                if full_width and past_total > 0.0:
+                    past_counts = (
+                        keep * _zero_extended(past_counts / past_total, width)
+                        + blend_in[i]
+                    ) * (keep * past_total + decay * totals_list[i])
+                else:
+                    past_counts = merge_counts(past_counts, counts[i, :dims], decay)
+                past_smoothed = None
             decisions.append(
                 WindowDecision(
-                    window_index=index,
-                    start_us=start_us,
-                    end_us=end_us,
+                    window_index=indices_list[i],
+                    start_us=starts_list[i],
+                    end_us=ends_list[i],
                     n_events=n_events,
                     kl_to_past=kl,
                     lof_score=score,
-                    outcome=(
-                        DetectionOutcome.ANOMALOUS
-                        if anomalous
-                        else DetectionOutcome.NORMAL
-                    ),
+                    outcome=outcome,
+                    window_bytes=sizes[i],
                 )
             )
         self._past_pmf = Pmf._from_trusted(past_counts, self.registry)

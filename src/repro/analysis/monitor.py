@@ -150,7 +150,7 @@ def score_and_record_batch(
     recorder: SelectiveTraceRecorder,
     batch: WindowBatch,
 ) -> list[WindowDecision]:
-    """Score one columnar batch, record it, return the stamped decisions.
+    """Score one columnar batch, record it, return its decisions.
 
     This is the single definition of the batched score -> size -> record
     step: both :meth:`TraceMonitor.monitor_windows` and the sharded fleet
@@ -161,20 +161,17 @@ def score_and_record_batch(
     (precomputed vectorized accounting on columnar batches, a codec pass on
     object-built ones — bit-identical either way) and the recorder receives
     :meth:`~repro.trace.batch.WindowBatch.window_refs`, so columnar batches
-    materialise event objects only for the windows actually written.
+    materialise event objects only for the windows actually written.  The
+    sizes are stamped into the decisions as the detector builds them.
     """
-    batch_decisions = detector.process_batch(batch)
     sizes = batch.window_sizes()
-    stamped = [
-        dataclasses.replace(decision, window_bytes=size)
-        for decision, size in zip(batch_decisions, sizes)
-    ]
+    decisions = detector.process_batch(batch, sizes)
     recorder.observe_batch(
         batch.window_refs(),
-        [decision.anomalous for decision in stamped],
+        [decision.anomalous for decision in decisions],
         window_bytes=sizes,
     )
-    return stamped
+    return decisions
 
 
 @dataclass

@@ -101,6 +101,18 @@ def _parse_segment_header(data: bytes, offset: int) -> tuple["EventTypeRegistry"
     return registry, int(header.get("count", 0)), header_end
 
 
+#: Largest timestamp the int64 columns (and the object decoder) accept.
+_INT64_MAX = (1 << 63) - 1
+
+
+def _timestamp_range_error(offset: int) -> TraceFormatError:
+    """The error both binary readers raise for a record whose running
+    timestamp (delta included) leaves the int64 range."""
+    return TraceFormatError(
+        f"event timestamp outside the int64 range at byte offset {offset}"
+    )
+
+
 def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
     """Decode a varint starting at ``offset``; return (value, new offset)."""
     result = 0
@@ -169,6 +181,7 @@ class BinaryTraceCodec:
         self, data: bytes, offset: int, previous_timestamp_us: int
     ) -> tuple[TraceEvent, int]:
         """Decode one event starting at ``offset``; return (event, new offset)."""
+        start = offset
         delta, offset = _decode_varint(data, offset)
         code, offset = _decode_varint(data, offset)
         if offset >= len(data):
@@ -189,9 +202,13 @@ class BinaryTraceCodec:
             args = json.loads(payload_raw.decode("utf-8")) if payload_len else {}
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise TraceFormatError("malformed event payload in binary trace") from exc
+        etype = self.registry.name(code)
+        timestamp = previous_timestamp_us + delta
+        if timestamp > _INT64_MAX:
+            raise _timestamp_range_error(start)
         event = TraceEvent(
-            timestamp_us=previous_timestamp_us + delta,
-            etype=self.registry.name(code),
+            timestamp_us=timestamp,
+            etype=etype,
             core=core,
             task=task,
             args=args,

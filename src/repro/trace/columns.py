@@ -35,9 +35,7 @@ from __future__ import annotations
 import codecs
 import json
 import struct
-from typing import Any, Callable, Iterable, Sequence
-
-from numpy.typing import DTypeLike
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -49,6 +47,7 @@ from .codec import (
     _decode_varint,
     _parse_segment_header,
     _payload_field_size,
+    _timestamp_range_error,
     _varint_size,
 )
 from .event import TraceEvent
@@ -316,8 +315,61 @@ def _task_field_size(task: str, cache: dict[str, int]) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Vectorized decoders
+# One-shot decoders
 # ---------------------------------------------------------------------- #
+def decode_binary_columns(data: bytes) -> TraceColumns:
+    """Decode a (possibly segmented) binary trace blob into columns.
+
+    The one-shot form of :class:`BinaryColumnsDecoder`: the whole blob is
+    one :meth:`~BinaryColumnsDecoder.feed` followed by
+    :meth:`~BinaryColumnsDecoder.finish`, so both run the same record
+    kernel — no UTF-8 decode, no JSON parse, no event objects.  The blob is
+    not copied: the columns keep ``data`` itself for lazy materialisation.
+    Concatenated segments (as written by the binary recording sink) share
+    one global type table built in first-appearance order.  Errors keep the
+    whole-file wording (a truncated record reports how many of its
+    segment's records are missing).
+    """
+    if data[:4] != _MAGIC:
+        raise TraceFormatError("not a binary trace (bad magic)")
+    decoder = BinaryColumnsDecoder()
+    decoder._one_shot = True
+    columns = decoder.feed(data)
+    decoder.finish()  # raises on a truncated tail; nothing else is left
+    return columns
+
+
+def decode_json_columns(text: str) -> TraceColumns:
+    """Decode a JSON-lines trace into columns.
+
+    The one-shot form of :class:`JsonColumnsDecoder`: the whole text is
+    parsed by the same per-line kernel as its final chunk, so no
+    :class:`TraceEvent` is built and nothing but one C-scanner call and a
+    few field checks runs per event.  Empty lines are skipped exactly as
+    the object reader does; a malformed line raises with its 1-based line
+    number.
+    """
+    return JsonColumnsDecoder()._parse(text, final=True, hint=_PARTIAL_LINE_HINT)
+
+
+# ---------------------------------------------------------------------- #
+# The binary record kernel
+# ---------------------------------------------------------------------- #
+#: Records gathered per NumPy pass: large enough to amortise the per-call
+#: overhead, small enough that the pass's temporaries stay negligible next
+#: to the decoded columns.
+_BLOCK_RECORDS = 8192
+
+#: Fewest bytes a record can take (five one-byte fields); bounds how many
+#: records a byte range can hold.
+_MIN_RECORD_BYTES = 5
+
+#: ``_walk_records`` stop reason: the data ends inside a record.
+_INCOMPLETE = "incomplete"
+
+#: ``BinaryColumnsDecoder._drain`` gather reason: a block is walked.
+_BLOCK_FULL = "block full"
+
 def _try_decode_varint(
     data: bytes, offset: int, size: int
 ) -> tuple[int, int] | None:
@@ -342,152 +394,154 @@ def _try_decode_varint(
             raise TraceFormatError("varint too long in binary trace")
 
 
-def _parse_record(
-    data: bytes, offset: int
-) -> tuple[int, int, int, int, int] | None:
-    """Parse one binary event record starting at ``offset``.
+def _record_end(data: bytes, pos: int, n_types: int, base: int) -> int | None:
+    """End offset of the record at ``pos``, checked field by field.
 
-    Returns ``(delta, local_code, core, static_size, end_offset)``, or
-    ``None`` when ``data`` ends mid-record — the caller decides whether
-    that means a truncated file (one-shot decode) or simply an incomplete
-    chunk (streaming decode).  Single definition shared by
-    :func:`decode_binary_columns` and :class:`BinaryColumnsDecoder` so the
-    two cannot diverge on the record layout.
+    ``None`` when ``data`` ends inside the record; raises on an over-long
+    varint or (once the record is complete) an event-type code outside the
+    segment's ``n_types``.  The exact path behind :func:`_walk_records`'
+    fast path, taken for any record that path does not recognise.
     """
     size = len(data)
-    parsed = _try_decode_varint(data, offset, size)
+    parsed = _try_decode_varint(data, pos, size)  # timestamp delta
     if parsed is None:
         return None
-    delta, pos = parsed
-    parsed = _try_decode_varint(data, pos, size)
+    parsed = _try_decode_varint(data, parsed[1], size)
     if parsed is None:
         return None
-    code, pos = parsed
-    if pos >= size:
+    code, end = parsed
+    end += 1  # core byte
+    for _ in range(2):  # task name, then payload: length-prefixed
+        parsed = _try_decode_varint(data, end, size)
+        if parsed is None:
+            return None
+        end = parsed[1] + parsed[0]
+    if end > size:
         return None
-    core = data[pos]
-    pos += 1
-    parsed = _try_decode_varint(data, pos, size)
-    if parsed is None:
-        return None
-    task_len, task_end = parsed
-    task_field = (task_end - pos) + task_len
-    pos = task_end + task_len
-    if pos > size:
-        return None
-    parsed = _try_decode_varint(data, pos, size)
-    if parsed is None:
-        return None
-    payload_len, payload_end = parsed
-    payload_field = (payload_end - pos) + payload_len
-    pos = payload_end + payload_len
-    if pos > size:
-        return None
-    return delta, code, core, 1 + task_field + payload_field, pos
+    if code >= n_types:
+        raise TraceFormatError(
+            f"unknown event-type code: {code} at byte offset {base + pos}"
+        )
+    return end
 
 
-def decode_binary_columns(data: bytes) -> TraceColumns:
-    """Decode a (possibly segmented) binary trace blob into columns.
+def _walk_records(
+    data: bytes, pos: int, count: int, n_types: int, base: int, starts: list[int]
+) -> tuple[int, object]:
+    """Follow up to ``count`` records from ``pos``, appending their starts.
 
-    Walks the records once — varint lengths only, no UTF-8 decode, no JSON
-    parse, no event objects — and fills the flat arrays.  Concatenated
-    segments (as written by the binary recording sink) share one global
-    type table built in first-appearance order.
+    The only per-record Python loop of the binary decode: it finds where
+    each record ends without decoding its fields.  The fast path covers a
+    record whose delta varint is at most ten bytes and whose code, task
+    length and payload length are single bytes (the code also below
+    ``n_types``); any other record goes through :func:`_record_end`.
+
+    Returns ``(pos, stop)``: ``pos`` is where the walk stopped and ``stop``
+    is ``None`` after ``count`` records, :data:`_INCOMPLETE` when the data
+    ends inside the record at ``pos``, or the :class:`TraceFormatError` of
+    the corrupt record at ``pos``.
     """
-    if data[:4] != _MAGIC:
-        raise TraceFormatError("not a binary trace (bad magic)")
-    name_codes: dict[str, int] = {}
-    names: list[str] = []
-    ts_parts: list[np.ndarray] = []
-    code_parts: list[np.ndarray] = []
-    core_parts: list[np.ndarray] = []
-    static_parts: list[np.ndarray] = []
-    offset_parts: list[np.ndarray] = []
+    append = starts.append
     size = len(data)
-    offset = 0
-    while offset < size:
-        # Shared header walk with the object decoder (magic, length,
-        # version, registry contiguity) — the two decoders cannot diverge.
-        segment_registry, count, offset = _parse_segment_header(data, offset)
-        segment_names = segment_registry.names
-        remap = np.empty(len(segment_names), dtype=np.int32)
-        for local, name in enumerate(segment_names):
-            code = name_codes.get(name)
-            if code is None:
-                code = len(names)
-                name_codes[name] = code
-                names.append(name)
-            remap[local] = code
-        timestamps = np.empty(count, dtype=np.int64)
-        codes = np.empty(count, dtype=np.int32)
-        cores = np.empty(count, dtype=np.int64)
-        static = np.empty(count, dtype=np.int64)
-        records = np.empty(count, dtype=np.int64)
-        previous = 0
-        n_segment_types = len(segment_names)
-        for i in range(count):
-            records[i] = offset
-            parsed = _parse_record(data, offset)
-            if parsed is None:
-                raise TraceFormatError(
-                    f"truncated event record at byte offset {offset} "
-                    f"(trace ends mid-record, {count - i} of the segment's "
-                    f"{count} record(s) missing or incomplete)"
-                )
-            delta, code, core, static_size, offset = parsed
-            if code >= n_segment_types:
-                raise TraceFormatError(
-                    f"unknown event-type code: {code} "
-                    f"at byte offset {int(records[i])}"
-                )
-            previous += delta
-            timestamps[i] = previous
-            codes[i] = remap[code]
-            cores[i] = core
-            static[i] = static_size
-        ts_parts.append(timestamps)
-        code_parts.append(codes)
-        core_parts.append(cores)
-        static_parts.append(static)
-        offset_parts.append(records)
-    return TraceColumns(
-        timestamps_us=_concat(ts_parts, np.int64),
-        type_codes=_concat(code_parts, np.int32),
-        cores=_concat(core_parts, np.int64),
-        type_names=tuple(names),
-        static_sizes=_concat(static_parts, np.int64),
-        source_kind="binary",
-        binary_data=data,
-        record_offsets=_concat(offset_parts, np.int64),
-    )
+    fast_types = min(n_types, 0x80)
+    for _ in range(count):
+        try:
+            q = pos
+            while data[q] > 0x7F:  # to the last byte of the delta
+                q += 1
+            if q - pos < 10 and data[q + 1] < fast_types:
+                length = data[q + 3]  # task length (the core is at q + 2)
+                if length < 0x80:
+                    q += 4 + length
+                    length = data[q]  # payload length
+                    if length < 0x80:
+                        q += 1 + length
+                        if q <= size:
+                            append(pos)
+                            pos = q
+                            continue
+        except IndexError:
+            pass
+        try:
+            end = _record_end(data, pos, n_types, base)
+        except TraceFormatError as exc:
+            return pos, exc
+        if end is None:
+            return pos, _INCOMPLETE
+        append(pos)
+        pos = end
+    return pos, None
 
 
-def _concat(parts: Sequence[np.ndarray], dtype: DTypeLike) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=dtype)
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+def _gather_varints(
+    view: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Decode the (complete, at most ten-byte) varint at each position.
 
-
-def decode_json_columns(text: str) -> TraceColumns:
-    """Decode a JSON-lines trace into columns.
-
-    The one-shot form of :class:`JsonColumnsDecoder`: the whole text is
-    parsed by the same per-line kernel as its final chunk, so no
-    :class:`TraceEvent` is built and nothing but one C-scanner call and a
-    few field checks runs per event.  Empty lines are skipped exactly as
-    the object reader does; a malformed line raises with its 1-based line
-    number.
+    Returns ``(values, lengths, wide)``: ``wide`` indexes the values at or
+    above ``2**63`` (their ``values`` entry is meaningless), or is ``None``.
+    One NumPy pass per varint byte, over the still-continuing varints only.
     """
-    return JsonColumnsDecoder()._parse(text, final=True, hint=_PARTIAL_LINE_HINT)
+    byte = view[positions]
+    values = (byte & 0x7F).astype(np.int64)
+    lengths = np.ones(len(positions), dtype=np.int64)
+    more = np.flatnonzero(byte > 0x7F)
+    wide = None
+    shift = 7
+    while more.size:
+        byte = view[positions[more] + lengths[more]]
+        payload = byte & 0x7F
+        values[more] |= payload.astype(np.int64) << shift
+        lengths[more] += 1
+        if shift == 63:
+            wide = more[payload != 0]
+        more = more[byte > 0x7F]
+        shift += 7
+    return values, lengths, wide
+
+
+class _ColumnSink:
+    """Output columns of one drain, preallocated and grown on demand:
+    timestamps, codes, cores, static sizes and record offsets."""
+
+    __slots__ = ("arrays", "size")
+
+    _DTYPES = (np.int64, np.int32, np.int64, np.int64, np.int64)
+
+    def __init__(self) -> None:
+        self.arrays: list[np.ndarray] = []
+        self.size = 0
+
+    def append(self, columns: tuple[np.ndarray, ...], reserve: int) -> None:
+        """Append equal-length ``columns``; ``reserve`` sizes a first
+        allocation (the records still expected)."""
+        n = len(columns[0])
+        needed = self.size + n
+        capacity = len(self.arrays[0]) if self.arrays else 0
+        if needed > capacity:
+            capacity = max(needed, 2 * capacity) if capacity else needed + reserve
+            grown = [np.empty(capacity, dtype=dtype) for dtype in self._DTYPES]
+            for new, old in zip(grown, self.arrays):
+                new[: self.size] = old[: self.size]
+            self.arrays = grown
+        for array, column in zip(self.arrays, columns):
+            array[self.size : needed] = column
+        self.size = needed
+
+    def columns(self) -> list[np.ndarray]:
+        """The filled columns (trimmed copies when over-allocated)."""
+        if not self.arrays:
+            return [np.empty(0, dtype=dtype) for dtype in self._DTYPES]
+        if len(self.arrays[0]) == self.size:
+            return self.arrays
+        return [array[: self.size].copy() for array in self.arrays]
 
 
 # ---------------------------------------------------------------------- #
 # Resumable chunked decoders (streaming ingest)
 # ---------------------------------------------------------------------- #
 class BinaryColumnsDecoder:
-    """Resumable, chunk-fed counterpart of :func:`decode_binary_columns`.
+    """Resumable, chunk-fed binary trace decoder (and the one-shot kernel).
 
     Feed arbitrary byte ranges of a binary trace (they need not align with
     record or segment boundaries); each :meth:`feed` returns the columns of
@@ -495,23 +549,36 @@ class BinaryColumnsDecoder:
     record (or segment header) for the next call, so memory stays bounded
     by one record/header plus the current chunk.  :attr:`resume_offset`
     reports the absolute offset of the first unconsumed byte — the point a
-    re-opened reader should seek to.
+    re-opened reader should seek to.  :func:`decode_binary_columns` is one
+    :meth:`feed` of the whole blob plus :meth:`finish`; a lone chunk is
+    buffered without a copy.
 
-    Emitted chunks use one *global* type table grown across segments in the
-    same registry order as the one-shot decoder; every chunk's
-    ``type_names`` is the table so far (a prefix of the final table), so
-    concatenating the chunks reproduces the one-shot decode bit for bit.
+    Each drain runs in two steps.  :func:`_walk_records` follows only the
+    record start offsets in Python (a fast path for one-byte fields; the
+    lengths are skipped, not decoded).  Then, per block of
+    ``_BLOCK_RECORDS`` records, NumPy gathers every column at those offsets
+    into preallocated arrays: timestamp deltas (summed by ``cumsum``),
+    codes (remapped to the global table), cores and static sizes.  A block
+    may span segments: a binary recording holds one short segment per
+    recorded window, and gathering each segment alone would pay the NumPy
+    overhead per window.
+
+    Emitted chunks use one *global* type table grown across segments in
+    registry order; every chunk's ``type_names`` is the table so far (a
+    prefix of the final table), so concatenating the chunks reproduces the
+    one-shot decode bit for bit.
 
     :meth:`finish` marks end-of-stream: ending mid-header or mid-record is
-    then an error naming the absolute byte offset, exactly like a one-shot
-    decode of the same truncated blob.
+    then an error naming the absolute byte offset, as a one-shot decode of
+    the same truncated blob does in its whole-file wording.
 
     ``on_corrupt="skip"`` quarantines corruption instead of raising: on a
-    mangled header, over-long varint, unknown type code or truncated tail
-    the decoder abandons the damaged region and resynchronises at the next
-    segment magic, counting each region in :attr:`corrupt_records` and
-    recording its absolute byte offset in :attr:`corrupt_offsets`.  The
-    concatenation contract above then only covers the surviving records.
+    mangled header, over-long varint, unknown type code, timestamp outside
+    the int64 range or truncated tail the decoder abandons the damaged
+    region and resynchronises at the next segment magic, counting each
+    region in :attr:`corrupt_records` and recording its absolute byte
+    offset in :attr:`corrupt_offsets`.  The concatenation contract above
+    then only covers the surviving records.
     """
 
     __slots__ = (
@@ -521,10 +588,12 @@ class BinaryColumnsDecoder:
         "_name_codes",
         "_remap",
         "_remaining",
+        "_count",
         "_previous",
         "_saw_data",
         "_finished",
         "_on_corrupt",
+        "_one_shot",
         "_resyncing",
         "_corrupt_offsets",
     )
@@ -538,12 +607,14 @@ class BinaryColumnsDecoder:
         self._base = 0  # absolute stream offset of _buffer[0]
         self._names: list[str] = []
         self._name_codes: dict[str, int] = {}
-        self._remap: np.ndarray | None = None  # active segment local→global
+        self._remap = np.empty(0, dtype=np.int32)  # active segment local→global
         self._remaining = 0  # records left in the active segment
+        self._count = 0  # records the active segment's header promised
         self._previous = 0  # previous absolute timestamp (segment-local)
         self._saw_data = False
         self._finished = False
         self._on_corrupt = on_corrupt
+        self._one_shot = False  # whole-file error wording (decode_binary_columns)
         self._resyncing = False  # inside a corrupt region, hunting for magic
         self._corrupt_offsets: list[int] = []
 
@@ -573,6 +644,7 @@ class BinaryColumnsDecoder:
             raise TraceFormatError("cannot feed a finished decoder")
         if chunk:
             self._saw_data = True
+            # ``b"" + data`` is ``data`` itself: a lone chunk is not copied.
             self._buffer += bytes(chunk)
         return self._drain(final=False)
 
@@ -583,29 +655,21 @@ class BinaryColumnsDecoder:
         self._finished = True
         if not self._saw_data:
             raise TraceFormatError("not a binary trace (empty stream)")
-        columns = self._drain(final=True)
-        if self._remaining:
-            if self._on_corrupt == "raise":
-                raise TraceFormatError(
-                    f"truncated binary trace: segment promises "
-                    f"{self._remaining} more event record(s) at byte offset "
-                    f"{self._base}"
-                )
-            # _drain(final=True) already recorded the corrupt tail region.
-            self._remaining = 0
-        return columns
+        return self._drain(final=True)
 
     def _drain(self, final: bool) -> TraceColumns:
         data = self._buffer
         size = len(data)
+        view = np.frombuffer(data, dtype=np.uint8)
+        sink = _ColumnSink()
+        starts: list[int] = []  # walked records not yet gathered
+        # (first record, header offset, remap) of each segment header
+        # walked after a pending record: the gather splits the block there.
+        headers: list[tuple[int, int, np.ndarray]] = []
+        n_types = len(self._remap)
         pos = 0
-        timestamps: list[int] = []
-        codes: list[int] = []
-        cores: list[int] = []
-        static: list[int] = []
-        records: list[int] = []
         while True:
-            if self._resyncing:
+            if self._resyncing:  # nothing is pending: quarantine gathered it
                 found = data.find(_MAGIC, pos)
                 if found != -1:
                     pos = found
@@ -613,84 +677,153 @@ class BinaryColumnsDecoder:
                     continue
                 pos = size if final else self._magic_tail(data, pos)
                 break
+            stop: object = None  # None: the buffered data is used up
             if self._remaining == 0:
-                if pos >= size:
-                    break
-                try:
-                    header = self._try_header(data, pos, final)
-                except TraceFormatError:
-                    if self._on_corrupt == "raise":
-                        raise
-                    pos = self._quarantine(pos, size)
+                if pos < size:
+                    try:
+                        header = self._try_header(data, pos, final)
+                    except TraceFormatError as exc:
+                        header, stop = None, exc
+                    if header is not None:
+                        remap, count, body = header
+                        if starts:
+                            headers.append((len(starts), pos, remap))
+                        else:
+                            self._remap, self._previous = remap, 0
+                        self._remaining = self._count = count
+                        n_types = len(remap)
+                        pos = body
+                        continue
+            else:
+                walked = len(starts)
+                take = min(self._remaining, _BLOCK_RECORDS - walked)
+                pos, stop = _walk_records(data, pos, take, n_types, self._base, starts)
+                self._remaining -= len(starts) - walked
+                if stop is None:
+                    if len(starts) < _BLOCK_RECORDS:
+                        continue  # the segment is complete: next header
+                    stop = _BLOCK_FULL
+                elif stop is _INCOMPLETE:
+                    stop = self._truncated_record(pos) if final else None
+            # Gather the pending records: the block is full, the walk hit a
+            # corrupt region, or the buffered data is used up.
+            if starts:
+                reserve = min(self._remaining, (size - pos) // _MIN_RECORD_BYTES)
+                resume = self._gather(view, starts, headers, pos, sink, reserve)
+                if resume is not None:  # a record was quarantined
+                    pos = resume
                     continue
-                if header is None:
-                    break
-                self._remap, self._remaining, pos = header
-                self._previous = 0
-                continue
-            try:
-                parsed = _parse_record(data, pos)
-            except TraceFormatError:
+            if isinstance(stop, TraceFormatError):
                 if self._on_corrupt == "raise":
-                    raise
+                    raise stop
                 pos = self._quarantine(pos, size)
-                continue
-            if parsed is None:
-                if not final:
-                    break
-                if self._on_corrupt == "raise":
-                    raise TraceFormatError(
-                        f"truncated event record at byte offset "
-                        f"{self._base + pos} (stream ends mid-record)"
-                    )
-                pos = self._quarantine(pos, size)
-                continue
-            delta, code, core, static_size, end = parsed
-            remap = self._remap
-            assert remap is not None
-            if code >= len(remap):
-                if self._on_corrupt == "raise":
-                    raise TraceFormatError(
-                        f"unknown event-type code: {code} "
-                        f"at byte offset {self._base + pos}"
-                    )
-                pos = self._quarantine(pos, size)
-                continue
-            records.append(pos)
-            self._previous += delta
-            timestamps.append(self._previous)
-            codes.append(int(remap[code]))
-            cores.append(core)
-            static.append(static_size)
-            self._remaining -= 1
-            pos = end
+            elif stop is None:
+                break
         self._buffer = data[pos:]
         self._base += pos
+        timestamps, codes, cores, static, records = sink.columns()
         return TraceColumns(
-            timestamps_us=np.array(timestamps, dtype=np.int64),
-            type_codes=np.array(codes, dtype=np.int32),
-            cores=np.array(cores, dtype=np.int64),
+            timestamps_us=timestamps,
+            type_codes=codes,
+            cores=cores,
             type_names=tuple(self._names),
-            static_sizes=np.array(static, dtype=np.int64),
+            static_sizes=static,
             source_kind="binary",
             binary_data=data[:pos],
-            record_offsets=np.array(records, dtype=np.int64),
+            record_offsets=records,
         )
+
+    def _gather(
+        self,
+        view: np.ndarray,
+        starts: list[int],
+        headers: list[tuple[int, int, np.ndarray]],
+        end: int,
+        sink: _ColumnSink,
+        reserve: int,
+    ) -> int | None:
+        """Gather the pending records' columns into ``sink``; clear them.
+
+        ``starts`` and ``headers`` are :meth:`_drain`'s pending records and
+        the segment headers among them, ``end`` is where the last record
+        ends and ``reserve`` sizes the sink's first allocation.  A record
+        whose timestamp leaves the int64 range ends the gather: it raises,
+        or under ``on_corrupt="skip"`` is quarantined and the buffer
+        position to resume from is returned (``None`` otherwise).
+        """
+        offsets = np.array(starts, dtype=np.int64)
+        n = len(offsets)
+        ends = np.append(offsets[1:], end)
+        for first, header_at, _ in reversed(headers):
+            ends[first - 1] = header_at  # a record followed by a header
+        # The block's segments: the active one, then one per header.
+        firsts = np.array([0] + [first for first, _, _ in headers], dtype=np.int64)
+        lengths = np.diff(firsts, append=n)
+        remaps = [self._remap] + [remap for _, _, remap in headers]
+        starts.clear()
+        headers.clear()
+        deltas, delta_lengths, wide = _gather_varints(view, offsets)
+        code_at = offsets + delta_lengths
+        codes, code_lengths, _ = _gather_varints(view, code_at)
+        core_at = code_at + code_lengths
+        # Timestamps run on from the active segment's last one and restart
+        # from 0 at each header.  Wrapping int64 sums are exact below 2**63
+        # and negative at the first record past it.
+        timestamps = np.cumsum(deltas)
+        restart = np.append(-self._previous, timestamps[firsts[1:] - 1])
+        timestamps -= np.repeat(restart, lengths)
+        # Segment-local codes index their segment's slice of one table.
+        bases = np.cumsum([0] + [len(remap) for remap in remaps[:-1]])
+        codes = np.concatenate(remaps)[np.repeat(bases, lengths) + codes]
+        outside = timestamps < 0
+        if wide is not None:
+            outside[wide] = True
+        cut = int(np.argmax(outside)) if outside.any() else n
+        if cut:
+            sink.append(
+                (
+                    timestamps[:cut],
+                    codes[:cut],
+                    view[core_at[:cut]],
+                    ends[:cut] - core_at[:cut],
+                    offsets[:cut],
+                ),
+                reserve,
+            )
+        if cut < n:
+            error = _timestamp_range_error(self._base + int(offsets[cut]))
+            if self._on_corrupt == "raise":
+                raise error
+            return self._quarantine(int(offsets[cut]), len(view))
+        self._remap = remaps[-1]
+        self._previous = int(timestamps[-1]) if lengths[-1] else 0
+        return None
+
+    def _register(self, names: tuple[str, ...]) -> np.ndarray:
+        """Intern a segment's type names; return its local→global remap."""
+        remap = np.empty(len(names), dtype=np.int32)
+        for local, name in enumerate(names):
+            code = self._name_codes.get(name)
+            if code is None:
+                code = len(self._names)
+                self._name_codes[name] = code
+                self._names.append(name)
+            remap[local] = code
+        return remap
 
     def _try_header(
         self, data: bytes, pos: int, final: bool
     ) -> tuple[np.ndarray, int, int] | None:
-        """Parse a segment header at ``pos``; ``None`` when incomplete."""
+        """Parse a segment header at ``pos``; ``None`` when incomplete.
+
+        Registers the segment's type names and returns ``(local→global
+        remap, record count, body offset)``.
+        """
         size = len(data)
         head = data[pos : pos + 4]
-        if len(head) < 4:
-            if not _MAGIC.startswith(head):
-                raise TraceFormatError(
-                    "not a binary trace (bad magic)"
-                    if self._base + pos == 0
-                    else "trailing bytes after binary trace segment (bad magic)"
-                )
-        elif head != _MAGIC:
+        if head != _MAGIC and (
+            len(head) == 4 or self._one_shot or not _MAGIC.startswith(head)
+        ):
             raise TraceFormatError(
                 "not a binary trace (bad magic)"
                 if self._base + pos == 0
@@ -701,6 +834,8 @@ class BinaryColumnsDecoder:
             (header_len,) = struct.unpack("<I", data[pos + 4 : pos + 8])
             header_end = pos + 8 + header_len
         if header_end > size:
+            if self._one_shot:
+                raise TraceFormatError("truncated binary trace header")
             if final:
                 raise TraceFormatError(
                     f"truncated binary trace header at byte offset "
@@ -708,16 +843,21 @@ class BinaryColumnsDecoder:
                 )
             return None
         registry, count, body = _parse_segment_header(data, pos)
-        segment_names = registry.names
-        remap = np.empty(len(segment_names), dtype=np.int32)
-        for local, name in enumerate(segment_names):
-            code = self._name_codes.get(name)
-            if code is None:
-                code = len(self._names)
-                self._name_codes[name] = code
-                self._names.append(name)
-            remap[local] = code
-        return remap, count, body
+        # A negative count means no records, as for the object decoder.
+        return self._register(registry.names), max(count, 0), body
+
+    def _truncated_record(self, pos: int) -> TraceFormatError:
+        """The end-of-stream error for a record cut short at ``pos``."""
+        if self._one_shot:
+            detail = (
+                f"trace ends mid-record, {self._remaining} of the segment's "
+                f"{self._count} record(s) missing or incomplete"
+            )
+        else:
+            detail = "stream ends mid-record"
+        return TraceFormatError(
+            f"truncated event record at byte offset {self._base + pos} ({detail})"
+        )
 
     def _quarantine(self, pos: int, size: int) -> int:
         """Record a corrupt region at ``pos`` and start hunting for magic.

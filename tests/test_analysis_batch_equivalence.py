@@ -16,8 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.detector import OnlineAnomalyDetector
+from repro.analysis.detector import DetectionOutcome, OnlineAnomalyDetector
 from repro.analysis.divergence import (
+    _smooth_normalise,
+    _symmetric_kl_raw,
     kl_divergence,
     kl_divergence_matrix,
     symmetric_kl_divergence,
@@ -29,9 +31,10 @@ from repro.analysis.model import ReferenceModel
 from repro.analysis.pmf import Pmf, merge_counts, pmf_from_window, pmf_matrix
 from repro.config import DetectorConfig, MonitorConfig
 from repro.trace.batch import WindowBatch, batch_windows
-from repro.trace.event import EventTypeRegistry
+from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import PeriodicTraceGenerator, SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
+from repro.trace.window import TraceWindow
 
 NORMAL_MIX = {"steady": 8.0, "tick": 2.0, "flush": 1.0, "poll": 1.0}
 #: The anomaly mix deliberately introduces event types absent from the
@@ -265,3 +268,132 @@ class TestMonitorBatchEquivalence:
         assert serial_result.report == batched_result.report
         assert serial_result.recorded_indices == batched_result.recorded_indices
         assert serial_result.detector_stats == batched_result.detector_stats
+
+
+class TestGateReplayExactness:
+    """``process_batch`` computes the window side of the KL gate and the
+    merge as matrix operations and rewrites the symmetric KL as
+    ``0.5 * (sum(p * d) - sum(q * d))``.  That is only a refactor if the
+    row-wise reductions equal the serial 1-D ones bit for bit."""
+
+    @pytest.mark.parametrize("width", range(1, 301))
+    def test_row_reductions_equal_one_dimensional_ones(self, width):
+        rng = np.random.default_rng(width)
+        counts = rng.integers(0, 50, size=(6, width)).astype(float)
+        counts[1] = 0.0  # an all-zero row smooths to the uniform pmf
+        counts[2, : width // 2] = 0.0
+        smoothed = counts + 1e-6
+        smoothed /= smoothed.sum(axis=1)[:, None]
+        logs = np.log(smoothed)
+        past = rng.random(width) * 30.0
+        past_smoothed = _smooth_normalise(past, 1e-6)
+        for row in range(len(counts)):
+            one_d = _smooth_normalise(counts[row], 1e-6)
+            assert np.array_equal(smoothed[row], one_d)
+            assert np.array_equal(logs[row], np.log(one_d))
+            assert smoothed.sum(axis=1)[row] == np.sum(smoothed[row])
+            assert np.add.reduce(smoothed[row]) == np.sum(smoothed[row])
+            # The rewritten KL equals the serial two-term form exactly.
+            d = logs[row] - np.log(past_smoothed)
+            rewritten = 0.5 * (
+                float(np.add.reduce(smoothed[row] * d))
+                - float(np.add.reduce(past_smoothed * d))
+            )
+            assert rewritten == _symmetric_kl_raw(counts[row], past, 1e-6)
+
+    @staticmethod
+    def assert_matches_serial(windows, config, batch_sizes=(1, 5, 64)):
+        """Every batch size reproduces the per-window ``process`` loop."""
+        model, serial_registry = reference_setup(seed=21)
+        serial = OnlineAnomalyDetector(model, config, serial_registry)
+        expected = [serial.process(window) for window in windows]
+        for batch_size in batch_sizes:
+            _, registry = reference_setup(seed=21)
+            batched = OnlineAnomalyDetector(model, config, registry)
+            decisions = []
+            for batch in batch_windows(iter(windows), registry, batch_size):
+                decisions.extend(batched.process_batch(batch))
+            assert decisions_equal(expected, decisions), batch_size
+            assert np.array_equal(serial.past_pmf.counts, batched.past_pmf.counts)
+            assert batched.n_merged == serial.n_merged
+            assert batched.n_lof_computed == serial.n_lof_computed
+            assert all(decision.window_bytes == 0 for decision in decisions)
+        return expected
+
+    @staticmethod
+    def growing_windows():
+        """Normal traffic where two unseen types appear mid-stream, with a
+        silent stretch of empty windows in between."""
+        generator = SyntheticTraceGenerator(NORMAL_MIX, rate_per_s=2_000.0, seed=22)
+        events = [e for e in generator.events(3.0) if not 1.4e6 <= e.timestamp_us < 1.7e6]
+        extra = [
+            TraceEvent(timestamp_us=500_123, etype="novel_a", core=0),
+            TraceEvent(timestamp_us=900_456, etype="novel_b", core=1),
+            TraceEvent(timestamp_us=2_100_789, etype="novel_a", core=0),
+        ]
+        events = sorted(events + extra, key=lambda e: e.timestamp_us)
+        return list(windows_by_duration(events, 40_000))
+
+    def test_registry_growth_and_short_past_mid_batch(self, monkeypatch):
+        import repro.analysis.detector as detector_module
+
+        windows = self.growing_windows()
+        assert any(w.is_empty for w in windows)
+        calls = []
+        original = detector_module._symmetric_kl_raw
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return original(*args)
+
+        monkeypatch.setattr(detector_module, "_symmetric_kl_raw", counting)
+        expected = self.assert_matches_serial(
+            windows, DetectorConfig(k_neighbours=10, lof_threshold=1.3)
+        )
+        # Both replay paths ran: narrower windows fell back to the serial
+        # KL against a past shorter than the batch width, the rest took
+        # the matrix path.
+        assert calls and min(calls) < len(NORMAL_MIX) + 2
+        assert len(calls) < sum(1 for d in expected if d.n_events)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DetectorConfig(k_neighbours=10, lof_threshold=1.3, use_kl_gate=False),
+            DetectorConfig(k_neighbours=10, lof_threshold=1.3, merge_decay=1.0),
+            DetectorConfig(k_neighbours=10, lof_threshold=1.3, kl_threshold=10.0),
+        ],
+        ids=["no_gate", "decay_one", "merge_all"],
+    )
+    def test_gate_and_merge_settings(self, config):
+        self.assert_matches_serial(self.growing_windows(), config)
+
+    def test_empty_and_all_empty_batches(self):
+        model, registry = reference_setup(seed=23)
+        config = DetectorConfig(k_neighbours=10)
+        detector = OnlineAnomalyDetector(model, config, registry)
+        past = detector.past_pmf.counts.copy()
+        assert detector.process_batch(WindowBatch.from_windows([], registry)) == []
+        empty = [TraceWindow(index=i, start_us=40_000 * i, end_us=40_000 * (i + 1)) for i in range(5)]
+        decisions = detector.process_batch(
+            WindowBatch.from_windows(empty, registry), window_bytes=[0, 1, 2, 3, 4]
+        )
+        assert [d.outcome for d in decisions] == [DetectionOutcome.EMPTY] * 5
+        assert all(math.isnan(d.kl_to_past) for d in decisions)
+        assert [d.window_bytes for d in decisions] == [0, 1, 2, 3, 4]
+        assert np.array_equal(detector.past_pmf.counts, past)
+        assert detector.n_processed == 5
+
+    def test_window_bytes_are_stamped_at_construction(self):
+        windows = self.growing_windows()
+        model, registry = reference_setup(seed=24)
+        config = DetectorConfig(k_neighbours=10, lof_threshold=1.3)
+        plain = OnlineAnomalyDetector(model, config, registry)
+        stamped = OnlineAnomalyDetector(model, config, registry)
+        for batch in batch_windows(iter(windows), registry, 16):
+            sizes = batch.window_sizes()
+            expected = plain.process_batch(batch)
+            got = stamped.process_batch(batch, sizes)
+            assert decisions_equal(expected, got)
+            assert [d.window_bytes for d in expected] == [0] * len(sizes)
+            assert [d.window_bytes for d in got] == sizes

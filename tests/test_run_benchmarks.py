@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,15 +30,13 @@ def sweep(speedups, fork_transport=True):
     }
 
 
-def overhead(value):
-    return {
-        "fullname": "isolate",
-        "extra_info": {"isolate_overhead": value, "max_overhead": 0.05},
-    }
+def isolate(run_benchmarks, wall_ratio):
+    floor = run_benchmarks.timing_floor("isolate/abort wall", wall_ratio, maximum=1.05)
+    return {"fullname": "isolate", "extra_info": {"timing_floor": floor}}
 
 
 def test_floors_met(run_benchmarks):
-    stats = {"benchmarks": [sweep({"1": 1.0, "2": 1.6}), overhead(0.01)]}
+    stats = {"benchmarks": [sweep({"1": 1.0, "2": 1.6}), isolate(run_benchmarks, 1.01)]}
     assert run_benchmarks.timing_floor_failures(stats, cpu_count=2) == []
 
 
@@ -61,6 +60,54 @@ def test_sweep_floor_waived_without_parallel_hardware_or_fork(run_benchmarks):
 
 def test_isolate_overhead_bound(run_benchmarks):
     failures = run_benchmarks.timing_floor_failures(
-        {"benchmarks": [overhead(0.12)]}, cpu_count=2
+        {"benchmarks": [isolate(run_benchmarks, 1.12)]}, cpu_count=2
     )
-    assert len(failures) == 1 and "+12.0%" in failures[0]
+    assert failures == ["isolate: isolate/abort wall 1.12x exceeds 1.05x"]
+
+
+#: The five floors Tier-1 records but only the archived run asserts:
+#: (bench, ratio, bound keyword, bound, a value that misses it).
+RECORDED_FLOORS = [
+    ("test_batched_throughput_speedup", "batched/per-window windows/s", "minimum", 3.0, 2.9),
+    ("test_knn_query_throughput", "balltree/brute queries/s at n=65536", "minimum", 2.0, 1.69),
+    ("test_fleet_throughput_speedup", "fleet/sequential windows/s", "minimum", 1.5, 1.03),
+    ("test_columnar_ingest_speedup", "columnar/object windows/s (binary)", "minimum", 2.0, 1.9),
+    ("test_streaming_ingest_overhead", "one-shot/streaming windows/s (binary)", "maximum", 2.5, 2.6),
+]
+
+
+def recorded(run_benchmarks, bench, ratio, bound_name, bound, value):
+    floor = run_benchmarks.timing_floor(ratio, value, **{bound_name: bound})
+    return {"fullname": bench, "extra_info": {"timing_floor": floor}}
+
+
+def archived_exit_code(run_benchmarks, monkeypatch, tmp_path, stats):
+    """Exit code of ``run_benchmarks.main`` when pytest passes and archives
+    ``stats``."""
+    output = tmp_path / "bench.json"
+
+    def fake_pytest(command, cwd, env):
+        output.write_text(json.dumps(stats))
+        return 0
+
+    monkeypatch.setattr(run_benchmarks.subprocess, "call", fake_pytest)
+    return run_benchmarks.main(["-o", str(output)])
+
+
+@pytest.mark.parametrize("bench, ratio, bound_name, bound, missed", RECORDED_FLOORS)
+def test_missed_recorded_floor_fails_the_archived_run(
+    run_benchmarks, monkeypatch, tmp_path, bench, ratio, bound_name, bound, missed
+):
+    met = bound * (1.1 if bound_name == "minimum" else 0.9)
+    stats = {"benchmarks": [recorded(run_benchmarks, bench, ratio, bound_name, bound, met)]}
+    assert archived_exit_code(run_benchmarks, monkeypatch, tmp_path, stats) == 0
+    stats = {"benchmarks": [recorded(run_benchmarks, bench, ratio, bound_name, bound, missed)]}
+    assert archived_exit_code(run_benchmarks, monkeypatch, tmp_path, stats) == 1
+    (failure,) = run_benchmarks.timing_floor_failures(stats, cpu_count=2)
+    assert failure.startswith(f"{bench}: {ratio} {missed:.2f}x")
+
+
+def test_smoke_runs_record_ratios_without_bounds(run_benchmarks):
+    floor = run_benchmarks.timing_floor("columnar/object windows/s (binary)", 0.4)
+    stats = {"benchmarks": [{"fullname": "smoke", "extra_info": {"timing_floor": floor}}]}
+    assert run_benchmarks.timing_floor_failures(stats, cpu_count=2) == []

@@ -23,9 +23,15 @@ from repro.trace.batch import LazyWindowRef, WindowBatch, batch_windows
 from repro.trace.codec import (
     BinaryTraceCodec,
     JsonTraceCodec,
+    _decode_varint,
+    _encode_varint,
+    _parse_segment_header,
+    _varint_size,
     encoded_window_sizes,
 )
 from repro.trace.columns import (
+    _BLOCK_RECORDS,
+    BinaryColumnsDecoder,
     JsonColumnsDecoder,
     TraceColumns,
     decode_binary_columns,
@@ -33,7 +39,6 @@ from repro.trace.columns import (
     encoded_window_sizes_columns,
     varint_size_array,
 )
-from repro.trace.codec import _varint_size
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.pipeline import prefetch_batches
 from repro.trace.reader import read_trace
@@ -629,3 +634,388 @@ def test_object_reader_rejects_infinite_fields(tmp_path, name):
     path.write_text(adversarial_text(name), encoding="utf-8")
     with pytest.raises(TraceFormatError, match="malformed event record"):
         read_trace(path)
+
+
+# ---------------------------------------------------------------------- #
+# Adversarial binary equivalence against the object decoder
+# ---------------------------------------------------------------------- #
+def encode_segment(events, names=None):
+    """One binary segment; ``names`` pre-registers its type table."""
+    return BinaryTraceCodec(EventTypeRegistry(names or [])).encode(events)
+
+
+def event(t, etype="alpha", core=1, task="dec", args=None):
+    return TraceEvent(timestamp_us=t, etype=etype, core=core, task=task, args=args or {})
+
+
+def body_offset(segment):
+    """Offset of a segment's first record (past its length-prefixed header)."""
+    return 8 + int.from_bytes(segment[4:8], "little")
+
+
+def replace_first_delta(segment, varint):
+    """``segment`` (one event, delta 5) with its delta field replaced."""
+    body = body_offset(segment)
+    assert segment[body] == 5
+    return segment[:body] + varint + segment[body + 1 :]
+
+
+def segment_layout(data):
+    """``[(header_at, body_at, count, record_starts, end)]`` of ``data``,
+    walked with the codec's own primitives."""
+    layout = []
+    offset = 0
+    while offset < len(data):
+        header_at = offset
+        registry, count, offset = _parse_segment_header(data, offset)
+        body_at = offset
+        codec = BinaryTraceCodec(registry)
+        starts = []
+        previous = 0
+        for _ in range(count):
+            starts.append(offset)
+            decoded, offset = codec.decode_event(data, offset, previous)
+            previous = decoded.timestamp_us
+        layout.append((header_at, body_at, count, starts, offset))
+    return layout
+
+
+def oracle_binary_decode(data):
+    """Reference binary decode: :meth:`BinaryTraceCodec.decode`.
+
+    Returns ``(rows, type_names, events)`` where each row is
+    ``(timestamp, code, core, static_size, record_offset)``; the global type
+    table lists every segment registry's names in order, and a record's
+    static size runs from its core byte to its end.
+    """
+    events = BinaryTraceCodec().decode(data)
+    names = []
+    rows = []
+    records = iter(events)
+    for header_at, _, count, starts, end in segment_layout(data):
+        registry, _, _ = _parse_segment_header(data, header_at)
+        names.extend(name for name in registry.names if name not in names)
+        ends = starts[1:] + [end]
+        for start, stop in zip(starts, ends):
+            decoded = next(records)
+            _, code_at = _decode_varint(data, start)
+            _, core_at = _decode_varint(data, code_at)
+            rows.append(
+                (
+                    decoded.timestamp_us,
+                    names.index(decoded.etype),
+                    decoded.core,
+                    stop - core_at,
+                    start,
+                )
+            )
+    return rows, names, events
+
+
+def binary_rows(parts, bases):
+    """Rows of decoded column chunks; ``bases`` are the chunks' stream
+    offsets (record offsets are chunk-local)."""
+    rows = []
+    for columns, base in zip(parts, bases):
+        for i in range(len(columns)):
+            rows.append(
+                (
+                    int(columns.timestamps_us[i]),
+                    int(columns.type_codes[i]),
+                    int(columns.cores[i]),
+                    int(columns.static_sizes[i]),
+                    base + int(columns._record_offsets[i]),
+                )
+            )
+    return rows
+
+
+def one_shot_binary(data):
+    columns = decode_binary_columns(data)
+    return binary_rows([columns], [0]), list(columns.type_names), columns.to_events()
+
+
+def chunked_binary(data, cuts, on_corrupt="raise"):
+    """Feed ``data`` split at ``cuts``; rows, names, corrupt offsets."""
+    decoder = BinaryColumnsDecoder(on_corrupt=on_corrupt)
+    parts, bases = [], []
+    previous = 0
+    for cut in list(cuts) + [len(data)]:
+        bases.append(decoder.resume_offset)
+        parts.append(decoder.feed(data[previous:cut]))
+        previous = cut
+    bases.append(decoder.resume_offset)
+    parts.append(decoder.finish())
+    assert decoder.type_names == parts[-1].type_names
+    events = [e for part in parts for e in part.to_events()]
+    return (
+        binary_rows(parts, bases),
+        list(decoder.type_names),
+        events,
+        list(decoder.corrupt_offsets),
+    )
+
+
+MANY_TYPES = [f"type{i:03d}" for i in range(130)]
+BIG_DELTAS = [0, 1, 127, 128, 2**14 - 1, 2**14, 2**21, 2**35, 2**35 + 1, 2**49]
+
+BINARY_CASES = {
+    "multibyte_deltas": lambda: encode_segment(
+        [event(t) for t in np.cumsum(BIG_DELTAS).tolist()]
+    ),
+    "many_types": lambda: encode_segment(
+        [event(10 * i, etype=MANY_TYPES[(i * 37) % 130]) for i in range(140)],
+        names=MANY_TYPES,
+    ),
+    "long_task": lambda: encode_segment(
+        [event(1, task="t" * 127), event(2, task="é" * 64), event(3, task="x" * 300)]
+    ),
+    "large_payload": lambda: encode_segment(
+        [
+            event(1, args={"blob": "p" * 16_384}),
+            event(2, args={"k": 1}),
+            event(3, args={"blob": "q" * 200}),
+        ]
+    ),
+    "cores_and_empty_fields": lambda: encode_segment(
+        [event(1, core=0, task=""), event(1, core=255, task=""), event(9, core=128)]
+    ),
+    "ten_byte_varint": lambda: replace_first_delta(
+        encode_segment([event(5)]), b"\x85" + b"\x80" * 8 + b"\x00"
+    )
+    + encode_segment([event(7)]),
+    "multi_segment": lambda: (
+        encode_segment([event(3, "alpha"), event(9, "beta")])
+        + encode_segment([], names=["gamma"])
+        + encode_segment([event(1, "beta"), event(2, "delta")])
+        + encode_segment([event(4, "alpha")], names=["zeta", "alpha"])
+    ),
+    "overlong_varint": lambda: replace_first_delta(
+        encode_segment([event(5)]), b"\x85" + b"\x80" * 9 + b"\x00"
+    ),
+    "unknown_code": lambda: encode_segment([event(1), event(3)]).replace(
+        b"\x02\x00\x01\x03dec", b"\x02\x04\x01\x03dec"
+    ),
+    "int64_delta": lambda: replace_first_delta(
+        encode_segment([event(5)]), _encode_varint(2**64 - 1)
+    ),
+    # 2**64 + 5: wraps to a small positive int64.
+    "int64_wrapping_delta": lambda: replace_first_delta(
+        encode_segment([event(5)]), _encode_varint(2**64 + 5)
+    ),
+    # Deltas 2**62 and 2**62 - 1, the second re-encoded as 2**62.
+    "int64_running_sum": lambda: encode_segment(
+        [event(2**62), event(2**63 - 1)]
+    ).replace(_encode_varint(2**62 - 1), _encode_varint(2**62)),
+}
+
+#: Today's one-shot error per corrupt case (the others decode), and which
+#: of the blob's records is the corrupt one.
+BINARY_ERRORS = {
+    "overlong_varint": ("first", "varint too long in binary trace"),
+    "unknown_code": ("second", "unknown event-type code: 4 at byte offset {at}"),
+    "int64_delta": (
+        "first",
+        "event timestamp outside the int64 range at byte offset {at}",
+    ),
+    "int64_wrapping_delta": (
+        "first",
+        "event timestamp outside the int64 range at byte offset {at}",
+    ),
+    "int64_running_sum": (
+        "second",
+        "event timestamp outside the int64 range at byte offset {at}",
+    ),
+}
+
+
+def record_starts(data):
+    """Offsets of a one-segment blob's first two records (``second`` only
+    when the first record's fields decode)."""
+    first = body_offset(data)
+    try:
+        _, code_at = _decode_varint(data, first)
+    except TraceFormatError:
+        return {"first": first}
+    _, core_at = _decode_varint(data, code_at)
+    task_len, task_at = _decode_varint(data, core_at + 1)
+    payload_len, payload_at = _decode_varint(data, task_at + task_len)
+    return {"first": first, "second": payload_at + payload_len}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_CASES))
+def test_one_shot_binary_decode_matches_object_decoder(name):
+    data = BINARY_CASES[name]()
+    if name not in BINARY_ERRORS:
+        rows, names, events = oracle_binary_decode(data)
+        assert one_shot_binary(data) == (rows, names, tuple(events))
+        return
+    corrupt, message = BINARY_ERRORS[name]
+    expected = message.format(at=record_starts(data)[corrupt])
+    with pytest.raises(TraceFormatError) as oracle_error:
+        BinaryTraceCodec().decode(data)
+    with pytest.raises(TraceFormatError) as error:
+        decode_binary_columns(data)
+    assert str(error.value) == expected
+    if "int64" in expected:  # the two readers agree word for word
+        assert str(oracle_error.value) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_CASES))
+@pytest.mark.parametrize("on_corrupt", ["raise", "skip"])
+def test_chunked_binary_decode_matches_one_shot_at_every_split(name, on_corrupt):
+    """Two chunks split at every byte offset decode exactly like one feed."""
+    data = BINARY_CASES[name]()
+    expected = outcome(chunked_binary, data, [], on_corrupt)
+    if on_corrupt == "raise":
+        one_shot = outcome(one_shot_binary, data)
+        if one_shot[0] == "ok":
+            assert expected[0] == "ok"
+            assert expected[1][:3] == (*one_shot[1][:2], list(one_shot[1][2]))
+        else:
+            assert expected[0] == "error" and expected[1] is TraceFormatError
+    else:
+        assert expected[0] == "ok"
+    for cut in range(len(data) + 1):
+        assert outcome(chunked_binary, data, [cut], on_corrupt) == expected, cut
+
+
+def test_corrupt_binary_records_are_quarantined_in_skip_mode():
+    good = encode_segment([event(1, "beta"), event(8, "gamma")])
+    for name, (corrupt_record, _) in BINARY_ERRORS.items():
+        bad = BINARY_CASES[name]()
+        rows, names, events, corrupt = chunked_binary(bad + good, [], "skip")
+        assert corrupt == [record_starts(bad)[corrupt_record]], name
+        assert names == ["alpha", "beta", "gamma"], name
+        # The good segment survives, and so does a record before the
+        # corrupt one in its own segment.
+        assert events[-2:] == [event(1, "beta"), event(8, "gamma")], name
+        assert len(events) == 2 + (corrupt_record == "second"), name
+
+
+def test_int64_overflowing_varint_is_a_format_error(tmp_path):
+    """Regression: a 10-byte delta of ``2**64 - 1`` used to escape as a raw
+    OverflowError (and the object reader returned the oversized timestamp)."""
+    bad = BINARY_CASES["int64_delta"]()
+    offset = record_starts(bad)["first"]
+    message = f"event timestamp outside the int64 range at byte offset {offset}"
+    with pytest.raises(TraceFormatError, match=message):
+        decode_binary_columns(bad)
+    with pytest.raises(TraceFormatError, match=message):
+        BinaryTraceCodec().decode(bad)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bad)
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace(path)
+    good = encode_segment([event(3, "beta")])
+    decoder = BinaryColumnsDecoder(on_corrupt="skip")
+    columns = decoder.feed(bad + good)
+    tail = decoder.finish()
+    assert decoder.corrupt_offsets == (offset,)
+    assert columns.to_events() + tail.to_events() == (event(3, "beta"),)
+
+
+def truncation_errors(data, cut):
+    """Today's one-shot and chunked errors for ``data[:cut]`` (``None``:
+    the prefix ends on a segment boundary and decodes)."""
+    if cut < 4:
+        chunked = (
+            "not a binary trace (empty stream)"
+            if cut == 0
+            else "truncated binary trace header at byte offset 0"
+        )
+        return "not a binary trace (bad magic)", chunked
+    for header_at, body_at, count, starts, end in segment_layout(data):
+        if cut == header_at or cut == end == len(data):
+            return None
+        if cut < body_at:
+            chunked = f"truncated binary trace header at byte offset {header_at}"
+            if cut - header_at < 4:
+                return "trailing bytes after binary trace segment (bad magic)", chunked
+            return "truncated binary trace header", chunked
+        if cut < end:
+            ends = starts[1:] + [end]
+            j = sum(1 for stop in ends if stop <= cut)
+            at = starts[j]
+            return (
+                f"truncated event record at byte offset {at} (trace ends "
+                f"mid-record, {count - j} of the segment's {count} record(s) "
+                "missing or incomplete)",
+                f"truncated event record at byte offset {at} (stream ends mid-record)",
+            )
+    raise AssertionError("cut beyond the data")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["multibyte_deltas", "many_types", "long_task", "ten_byte_varint", "multi_segment"],
+)
+def test_binary_truncation_at_every_byte(name):
+    data = BINARY_CASES[name]()
+    layout = segment_layout(data)
+    for cut in range(len(data)):
+        prefix = data[:cut]
+        errors = truncation_errors(data, cut)
+        if errors is None:
+            rows, names, events = oracle_binary_decode(prefix)
+            assert one_shot_binary(prefix) == (rows, names, tuple(events)), cut
+            continue
+        one_shot_message, chunked_message = errors
+        with pytest.raises(TraceFormatError):
+            BinaryTraceCodec().decode(prefix)
+        assert outcome(decode_binary_columns, prefix) == (
+            "error", TraceFormatError, one_shot_message
+        ), cut
+        assert outcome(chunked_binary, prefix, []) == (
+            "error", TraceFormatError, chunked_message
+        ), cut
+        if cut == 0:
+            continue
+        # Skip mode keeps every complete record and quarantines the tail.
+        rows, _, events, corrupt = chunked_binary(prefix, [], "skip")
+        tail_at = int(chunked_message.split("byte offset ")[1].split()[0])
+        assert corrupt == [tail_at], cut
+        complete = [
+            start
+            for _, _, _, starts, end in layout
+            for start, stop in zip(starts, starts[1:] + [end])
+            if stop <= tail_at
+        ]
+        assert [row[4] for row in rows] == complete, cut
+
+
+@pytest.mark.parametrize("delta_records", [-1, 0, 1, _BLOCK_RECORDS + 1])
+def test_binary_segments_around_the_gather_block(delta_records):
+    """Segments of one gather block and one block +- 1 records, alone and
+    followed by a second segment, decode like the object decoder, also
+    when chunked across the block boundaries."""
+    rng = random.Random(delta_records)
+    n = _BLOCK_RECORDS + delta_records
+    first = random_events(rng, n)
+    second = random_events(rng, 40)
+    data = BinaryTraceCodec().encode(first) + BinaryTraceCodec().encode(second)
+    rows, names, events = oracle_binary_decode(data)
+    assert one_shot_binary(data) == (rows, names, tuple(events))
+    starts = [row[4] for row in rows]
+    cuts = sorted({starts[_BLOCK_RECORDS - 1] + 1, starts[-40] - 3, len(data) // 2})
+    assert chunked_binary(data, cuts) == (rows, names, events, [])
+
+
+def test_binary_overflow_past_the_first_gather_block():
+    """An overflow in a later gather block is found with the running
+    timestamp carried across blocks; skip mode keeps the records before it."""
+    n = _BLOCK_RECORDS + 5
+    last = 2**63 - 1
+    data = encode_segment([event(i) for i in range(n)] + [event(last)])
+    # Re-encode the last delta as ``last`` itself: the sum passes 2**63 - 1.
+    old = _encode_varint(last - (n - 1))
+    at = data.rindex(old)
+    data = data[:at] + _encode_varint(last) + data[at + len(old) :]
+    message = f"event timestamp outside the int64 range at byte offset {at}"
+    with pytest.raises(TraceFormatError, match=message):
+        BinaryTraceCodec().decode(data)
+    with pytest.raises(TraceFormatError, match=message):
+        decode_binary_columns(data)
+    rows, _, _, corrupt = chunked_binary(data, [], "skip")
+    assert corrupt == [at]
+    assert [row[0] for row in rows] == list(range(n))
