@@ -67,10 +67,9 @@ def timing_floor_failures(stats: dict, cpu_count: int) -> list[str]:
 
     * ``timing_floor`` (see :func:`timing_floor`): the recorded value must
       reach its ``min`` / stay within its ``max``.  Used by the batched
-      scoring speedup, the indexed k-NN speedup at the largest reference
-      set, the fleet speedup over sequential monitoring, the columnar
-      ingest speedup, the streaming ingest overhead and the isolate
-      policy's wall time over ``abort`` on a fault-free fleet.
+      scoring speedup, the fleet speedup over sequential monitoring, the
+      columnar ingest speedup, the streaming ingest overhead and the
+      isolate policy's wall time over ``abort`` on a fault-free fleet.
     * fleet worker sweep: the best speedup over the inline fleet among the
       worker counts this machine can run in parallel (2 to ``cpu_count``)
       must reach ``min_speedup``.  Not applied on one core, and not without
@@ -130,13 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated worker counts for the fleet worker sweep "
         "(sets REPRO_BENCH_FLEET_WORKERS; default: the bench's 1,2,4)",
     )
-    parser.add_argument(
-        "--knn-backend",
-        default=None,
-        metavar="NAME,NAME,...",
-        help="comma-separated indexed k-NN backends to time in the knn sweep "
-        "(sets REPRO_BENCH_KNN_BACKENDS; default: the bench's balltree,grid)",
-    )
     args, passthrough = parser.parse_known_args(argv)
     if passthrough and passthrough[0] == "--":
         passthrough = passthrough[1:]
@@ -158,8 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     if args.fleet_workers is not None:
         env["REPRO_BENCH_FLEET_WORKERS"] = args.fleet_workers
-    if args.knn_backend is not None:
-        env["REPRO_BENCH_KNN_BACKENDS"] = args.knn_backend
     print("+", " ".join(command))
     code = subprocess.call(command, cwd=REPO_ROOT, env=env)
     stats_path = REPO_ROOT / args.output

@@ -22,7 +22,7 @@ from .divergence import (
     js_divergence,
     total_variation_distance,
 )
-from .knn import BruteForceKnn, KdTreeKnn, KnnIndex
+from .knn import BruteForceKnn, KnnIndex
 from .lof import LocalOutlierFactor
 from .model import ReferenceModel
 from .refdb import ReferenceDatabase
@@ -56,7 +56,6 @@ __all__ = [
     "total_variation_distance",
     "KnnIndex",
     "BruteForceKnn",
-    "KdTreeKnn",
     "LocalOutlierFactor",
     "ReferenceModel",
     "ReferenceDatabase",

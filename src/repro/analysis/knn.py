@@ -1,93 +1,58 @@
-"""k-nearest-neighbour search used by the Local Outlier Factor.
+"""Exact k-nearest-neighbour search used by the Local Outlier Factor.
 
-Four interchangeable indexes are provided behind the :class:`KnnIndex`
-interface:
+:class:`BruteForceKnn` is the one k-NN index (``KnnIndex`` names the same
+class): a blocked exhaustive scan that returns the
+*distances to* and *indices of* the ``k`` nearest reference points under the
+Euclidean metric on pmf probability vectors (the metric LOF's authors use;
+the reference points live on the probability simplex so Euclidean and cosine
+orderings are nearly identical there).
 
-* :class:`BruteForceKnn` — vectorised exhaustive search (numpy); exact, no
-  build cost, and in practice the fastest option below a few thousand
-  reference points;
-* :class:`KdTreeKnn` — a from-scratch k-d tree; exact as well, provided as
-  an independent implementation the tests cross-check the brute-force
-  results against;
-* :class:`GridSimplexKnn` — a grid hash over the probability simplex:
-  reference pmf vectors are bucketed by quantised coordinates along the
-  highest-spread axes and queries search expanding shells of neighbouring
-  buckets until a provable distance bound guarantees no closer point
-  remains.  Sublinear per query on clustered reference sets;
-* :class:`BallTreeKnn` — a blocked ball tree: the reference set is split
-  into leaf blocks with precomputed centroids and covering radii, and a
-  query scans blocks in lower-bound order with vectorised per-block
-  pruning.  Sublinear per query, robust to how the mass spreads over the
-  simplex.
+The LOF queries a detector run sends are a few dozen windows per batch that
+failed the KL gate, against a reference of a few hundred to several
+thousand points.  For those queries the vectorised scan beats every
+sublinear index this module used to carry (k-d tree, simplex grid, blocked
+ball tree): on the 2 400 LOF queries of an 8 589 × 12 reference (2-vCPU
+VM) LOF scored at 160–255 µs per row, against 490–890 µs with the ball tree
+and ~640 µs with the grid, with bit-identical results.
 
-All return *distances to* and *indices of* the ``k`` nearest points using
-the Euclidean metric on pmf probability vectors (the metric LOF's authors
-use; the reference points live on the probability simplex so Euclidean and
-cosine orderings are nearly identical there).
+Determinism is the contract:
 
-Determinism is the contract across backends:
-
-* candidate distances are always computed with the exact same floating-point
-  expression (the cdist-style ``|q|^2 - 2 q.p + |p|^2`` expansion with a
-  fixed-order einsum reduction), so a distance never depends on *which*
-  backend produced it or which candidate set it was computed in;
+* a distance is always the same floating-point expression (the cdist-style
+  ``|q|^2 - 2 q.p + |p|^2`` expansion with a fixed-order einsum reduction,
+  clamped at zero, then ``sqrt``), so it never depends on how the queries
+  are batched;
 * ties are broken by ascending reference index — the ``k`` returned
   neighbours are the lexicographic minimum under ``(distance, index)`` —
   so duplicated reference points yield the same neighbour set everywhere;
-* :meth:`KnnIndex.add_points` grows a fitted index incrementally and is
-  required to answer every query exactly as a from-scratch rebuild over the
-  combined point set would.
+* :meth:`BruteForceKnn.add_points` grows a fitted index incrementally and answers
+  every query exactly as a from-scratch rebuild over the combined point set
+  would.
 
-Backends are selected by name through :func:`make_index`; ``"auto"`` picks
-brute force below :data:`AUTO_CROSSOVER_POINTS` reference points (where the
-exhaustive scan's perfect vectorisation wins) and the blocked ball tree
-above it.
+:func:`resolve_backend` keeps the names older configurations and model files
+carry (``"auto"``, ``"brute"``, ``"kdtree"``, ``"grid"``, ``"balltree"``):
+each resolves to ``"brute"``, which is exact because every retired backend
+returned bit-identical results.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..config import KNN_BACKENDS
 from ..errors import ModelError
 
 __all__ = [
     "KnnIndex",
     "BruteForceKnn",
-    "KdTreeKnn",
-    "GridSimplexKnn",
-    "BallTreeKnn",
-    "KNN_BACKENDS",
-    "AUTO_CROSSOVER_POINTS",
     "resolve_backend",
-    "make_index",
 ]
 
-#: Names of the concrete index implementations (``"auto"`` resolves to one
-#: of these through :func:`resolve_backend`).
-KNN_BACKENDS = ("brute", "kdtree", "grid", "balltree")
-
-#: Reference size below which ``"auto"`` keeps the brute-force scan: under a
-#: few thousand points the exhaustive blocked distance matrix is fully
-#: vectorised and beats any per-query traversal overhead.
-AUTO_CROSSOVER_POINTS = 8192
-
-#: Relative safety margin applied to pruning *bounds* (never to returned
-#: distances): a bound is shrunk by this factor before it is allowed to
-#: prune, so floating-point slack in the bound arithmetic can never discard
-#: a point the exact arithmetic would keep.
-_BOUND_MARGIN = 1e-9
-
-#: Absolute slack subtracted from *squared* pruning bounds.  The canonical
-#: expansion ``|q|^2 - 2 q.p + |p|^2`` cancels catastrophically for nearly
-#: coincident points — a pair separated by ~1e-16 can come out at exactly
-#: 0.0 — so a geometric bound may exceed a computed distance by up to a few
-#: ulps of the squared norms (~1e-15 on the simplex).  Every prune therefore
-#: compares squared quantities and forgives this much; it only weakens
-#: pruning for k-th distances below ~3e-7, which never matters.
-_BOUND_SLACK_SQ = 1e-13
+#: Relative width, in ulps of the ``k``-th squared distance, of the band
+#: within which an unselected squared distance could share the ``k``-th
+#: distance's ``sqrt``.  ``sqrt`` is correctly rounded, so every ``x`` with
+#: ``sqrt(x) == d`` lies within ``2 * d * ulp(d) <= 4 * spacing(d**2)`` of
+#: any other such value.
+_TIE_BAND_ULPS = 4.0
 
 
 def _validate_points(points: np.ndarray) -> np.ndarray:
@@ -102,92 +67,32 @@ def _validate_points(points: np.ndarray) -> np.ndarray:
 
 
 def resolve_backend(kind: str, n_points: int) -> str:
-    """Resolve a backend name (possibly ``"auto"``) to a concrete backend.
+    """Resolve a backend name from :data:`KNN_BACKENDS` to ``"brute"``.
 
-    ``"auto"`` picks ``"brute"`` below :data:`AUTO_CROSSOVER_POINTS` points
-    and ``"balltree"`` at or above it.
+    ``n_points`` is accepted for callers written against the size-based
+    ``"auto"`` choice; the answer no longer depends on it.  Unknown names
+    raise :class:`~repro.errors.ModelError`.
     """
-    if kind == "auto":
-        return "brute" if n_points < AUTO_CROSSOVER_POINTS else "balltree"
     if kind not in KNN_BACKENDS:
         raise ModelError(
             f"unknown k-NN backend: {kind!r} (expected one of "
-            f"{', '.join(KNN_BACKENDS)} or 'auto')"
+            f"{', '.join(KNN_BACKENDS)})"
         )
-    return kind
+    return "brute"
 
 
-def make_index(kind: str, points: np.ndarray) -> "KnnIndex":
-    """Build the k-NN index named ``kind`` (``"auto"`` resolves by size)."""
-    points = _validate_points(points)
-    resolved = resolve_backend(kind, len(points))
-    if resolved == "brute":
-        return BruteForceKnn(points)
-    if resolved == "kdtree":
-        return KdTreeKnn(points)
-    if resolved == "grid":
-        return GridSimplexKnn(points)
-    return BallTreeKnn(points)
+class BruteForceKnn:
+    """Exact k-NN by exhaustive vectorised distance computation."""
 
-
-def _tie_safe_topk(distances: np.ndarray, k: int) -> np.ndarray:
-    """Per-row column indices of the ``k`` nearest, ties by ascending index.
-
-    The selected set of every row is the lexicographic minimum under
-    ``(distance, column index)``.  A stable argsort handles the ``k >= n``
-    case directly; otherwise an argpartition narrows each row to ``k``
-    candidates and the rare rows where equal distances straddle the ``k``
-    boundary (argpartition is arbitrary about which of them it keeps) are
-    repaired with a full stable sort.
-    """
-    n = distances.shape[1]
-    if k >= n:
-        return np.argsort(distances, axis=1, kind="stable")
-    nearest = np.argpartition(distances, k - 1, axis=1)[:, :k]
-    # Ascending column order first, so the stable distance sort below breaks
-    # ties inside the selected set by ascending index.
-    nearest.sort(axis=1)
-    nearest_distances = np.take_along_axis(distances, nearest, axis=1)
-    suborder = np.argsort(nearest_distances, axis=1, kind="stable")
-    order = np.take_along_axis(nearest, suborder, axis=1)
-    # Boundary repair: if the k-th distance also occurs outside the selected
-    # set, the lowest-index ties must win.
-    kth = np.take_along_axis(distances, order[:, -1:], axis=1)
-    full_ties = (distances == kth).sum(axis=1)
-    kept_ties = (np.take_along_axis(distances, order, axis=1) == kth).sum(axis=1)
-    for row in np.flatnonzero(full_ties != kept_ties):
-        order[row] = np.argsort(distances[row], kind="stable")[:k]
-    return order
-
-
-def _select_k_sorted(
-    distances: np.ndarray, indices: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``k`` nearest of a 1-D candidate pool, ties by ascending index.
-
-    Same selection semantics as :func:`_tie_safe_topk` but for the gathered
-    per-query pools of the sublinear backends: an argpartition narrows the
-    pool to ``k``, a lexsort canonicalises just those, and the rare pools
-    where equal distances straddle the boundary fall back to a full lexsort.
-    """
-    if k < len(distances):
-        part = np.argpartition(distances, k - 1)[:k]
-        kth_value = distances[part].max()
-        if np.count_nonzero(distances[part] == kth_value) == np.count_nonzero(
-            distances == kth_value
-        ):
-            inner = np.lexsort((indices[part], distances[part]))
-            chosen = part[inner]
-            return distances[chosen], indices[chosen]
-    chosen = np.lexsort((indices, distances))[:k]
-    return distances[chosen], indices[chosen]
-
-
-class KnnIndex(ABC):
-    """Interface of a k-nearest-neighbour index over a growable point set."""
+    #: Cap on the number of floats materialised per distance block (~2 MB
+    #: per matrix): large enough to amortise NumPy's per-call overhead over
+    #: dozens of query rows, small enough that the block's few transient
+    #: matrices do not raise the monitor's peak memory.
+    _BLOCK_ELEMENTS = 262_144
 
     def __init__(self, points: np.ndarray) -> None:
         self.points = _validate_points(points)
+        self._sq_norms = np.einsum("ij,ij->i", self.points, self.points)
 
     @property
     def n_points(self) -> int:
@@ -206,13 +111,70 @@ class KnnIndex(ABC):
         ascending point index.  ``k`` is clamped to the number of indexed
         points.
         """
-        point, k = self._check_query(point, k)
+        point = np.asarray(point, dtype=float).reshape(-1)
+        if len(point) != self.dimension:
+            raise ModelError(
+                f"query dimension {len(point)} does not match index dimension {self.dimension}"
+            )
         distances, indices = self.query_many(point[None, :], k)
         return distances[0], indices[0]
 
-    @abstractmethod
     def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`query` over several query points, one row per query."""
+        """Vectorised multi-query search over a blocked squared-distance matrix.
+
+        Each block computes the query-to-point squared distances with the
+        cdist-style expansion ``|q - p|^2 = |q|^2 - 2 q.p + |p|^2`` in place,
+        clamps the cancellation's negative values at zero, selects the ``k``
+        smallest per row with ``argpartition`` and takes ``sqrt`` of those
+        ``k`` only — no per-query Python.  ``sqrt`` is monotone but not
+        injective, so two squared values can share a distance; a row with an
+        unselected squared value within :data:`_TIE_BAND_ULPS` ulps of its
+        ``k``-th could hold a tie the ``(distance, index)`` order must break
+        by index, and is redone with a full-row stable sort of its distances.
+
+        The cross term is an einsum rather than a BLAS matmul on purpose:
+        BLAS picks different accumulation orders for different row counts,
+        which would make a point's distances depend on its batch mates;
+        einsum's fixed reduction order keeps every row bit-identical however
+        the queries are batched (the batch/serial equivalence tests rely on
+        it).
+        """
+        queries = self._check_queries(queries, k)
+        n_queries = len(queries)
+        k = min(k, self.n_points)
+        out_distances = np.empty((n_queries, k))
+        out_indices = np.empty((n_queries, k), dtype=int)
+        block = max(1, self._BLOCK_ELEMENTS // self.n_points)
+        for start in range(0, n_queries, block):
+            chunk = queries[start:start + block]
+            rows = slice(start, start + len(chunk))
+            out_distances[rows], out_indices[rows] = self._query_block(chunk, k)
+        return out_distances, out_indices
+
+    def _query_block(self, chunk: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        squared = np.einsum("qd,nd->qn", chunk, self.points)
+        squared *= -2.0
+        squared += np.einsum("ij,ij->i", chunk, chunk)[:, None]
+        squared += self._sq_norms
+        # The expansion can go slightly negative through cancellation.
+        np.maximum(squared, 0.0, out=squared)
+        nearest = np.argpartition(squared, k - 1, axis=1)[:, :k]
+        # Ascending index first, so the stable distance sort below breaks
+        # ties inside the selected set by ascending index.
+        nearest.sort(axis=1)
+        selected = np.take_along_axis(squared, nearest, axis=1)
+        kth = selected.max(axis=1)
+        band = kth + _TIE_BAND_ULPS * np.spacing(kth)
+        ambiguous = np.count_nonzero(squared <= band[:, None], axis=1) > k
+        distances = np.sqrt(selected)
+        suborder = np.argsort(distances, axis=1, kind="stable")
+        order = np.take_along_axis(nearest, suborder, axis=1)
+        distances = np.take_along_axis(distances, suborder, axis=1)
+        for row in np.flatnonzero(ambiguous):
+            row_distances = np.sqrt(squared[row])
+            order[row] = np.argsort(row_distances, kind="stable")[:k]
+            distances[row] = row_distances[order[row]]
+        return distances, order
 
     def add_points(self, new_points: np.ndarray) -> None:
         """Absorb additional reference points into the fitted index.
@@ -233,17 +195,11 @@ class KnnIndex(ABC):
             return
         if not np.all(np.isfinite(new_points)):
             raise ModelError("points must be finite")
-        n_old = self.n_points
         self.points = np.vstack([self.points, new_points])
-        self._absorb_points(n_old)
+        self._sq_norms = np.concatenate(
+            [self._sq_norms, np.einsum("ij,ij->i", new_points, new_points)]
+        )
 
-    @abstractmethod
-    def _absorb_points(self, n_old: int) -> None:
-        """Update internal structures after ``self.points`` grew past ``n_old``."""
-
-    # ------------------------------------------------------------------ #
-    # Shared helpers
-    # ------------------------------------------------------------------ #
     def _check_queries(self, queries: np.ndarray, k: int) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if queries.ndim != 2 or queries.shape[1] != self.dimension:
@@ -255,512 +211,6 @@ class KnnIndex(ABC):
             raise ModelError("k must be positive")
         return queries
 
-    def _check_query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-        point = np.asarray(point, dtype=float).reshape(-1)
-        if len(point) != self.dimension:
-            raise ModelError(
-                f"query dimension {len(point)} does not match index dimension {self.dimension}"
-            )
-        if k <= 0:
-            raise ModelError("k must be positive")
-        return point, min(k, self.n_points)
 
-    def _candidate_distances(
-        self, query: np.ndarray, query_norm: float, indices: np.ndarray
-    ) -> np.ndarray:
-        """Canonical distances from one query to a gathered candidate set.
-
-        Must stay bit-identical to the full-matrix expansion in
-        :meth:`BruteForceKnn.query_many` for any candidate subset: the
-        einsum contraction runs over the same fixed-length axis in the same
-        order, and the per-element arithmetic is independent of which other
-        candidates share the gather.  The cross-backend equivalence suite
-        relies on this.
-        """
-        sq_norms = self._point_sq_norms()
-        squared = (
-            query_norm
-            - 2.0 * np.einsum("d,nd->n", query, self.points[indices])
-            + sq_norms[indices]
-        )
-        return np.sqrt(np.maximum(squared, 0.0))
-
-    def _point_sq_norms(self) -> np.ndarray:
-        norms = getattr(self, "_sq_norms", None)
-        if norms is None or len(norms) != self.n_points:
-            norms = np.einsum("ij,ij->i", self.points, self.points)
-            self._sq_norms = norms
-        return norms
-
-    def _extend_sq_norms(self, n_old: int) -> None:
-        norms = getattr(self, "_sq_norms", None)
-        if norms is None:
-            return
-        fresh = self.points[n_old:]
-        self._sq_norms = np.concatenate(
-            [norms, np.einsum("ij,ij->i", fresh, fresh)]
-        )
-
-
-class BruteForceKnn(KnnIndex):
-    """Exact k-NN by exhaustive vectorised distance computation."""
-
-    #: Cap on the number of floats materialised per distance block, bounding
-    #: query_many's peak memory at ~64 MB regardless of the query count.
-    _BLOCK_ELEMENTS = 8_000_000
-
-    def __init__(self, points: np.ndarray) -> None:
-        super().__init__(points)
-        self._sq_norms: np.ndarray | None = None
-
-    def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised multi-query search over a blocked full distance matrix.
-
-        Each block computes the full query-to-point distance matrix with the
-        cdist-style expansion ``|q - p|^2 = |q|^2 - 2 q.p + |p|^2`` and
-        selects the ``k`` nearest per row with a tie-safe partition + stable
-        sort (equal distances resolve to ascending point index) — no
-        per-query Python.  The cross term is an einsum rather than a BLAS
-        matmul on purpose: BLAS picks different accumulation orders for
-        different row counts, which would make a point's distances depend on
-        its batch mates; einsum's fixed reduction order keeps every row
-        bit-identical however the queries are batched (the batch/serial and
-        cross-backend equivalence tests rely on it).
-        """
-        queries = self._check_queries(queries, k)
-        n_queries = len(queries)
-        k = min(k, self.n_points)
-        out_distances = np.empty((n_queries, k))
-        out_indices = np.empty((n_queries, k), dtype=int)
-        sq_norms = self._point_sq_norms()
-        block = max(1, self._BLOCK_ELEMENTS // max(1, self.n_points))
-        for start in range(0, n_queries, block):
-            chunk = queries[start:start + block]
-            query_norms = np.einsum("ij,ij->i", chunk, chunk)
-            squared = (
-                query_norms[:, None]
-                - 2.0 * np.einsum("qd,nd->qn", chunk, self.points)
-                + sq_norms[None, :]
-            )
-            # The expansion can go slightly negative through cancellation.
-            distances = np.sqrt(np.maximum(squared, 0.0))
-            order = _tie_safe_topk(distances, k)
-            out_distances[start:start + block] = np.take_along_axis(
-                distances, order, axis=1
-            )
-            out_indices[start:start + block] = order
-        return out_distances, out_indices
-
-    def _absorb_points(self, n_old: int) -> None:
-        self._extend_sq_norms(n_old)
-
-
-@dataclass
-class _KdNode:
-    """A node of the k-d tree (leaf when ``indices`` is set)."""
-
-    axis: int = -1
-    split: float = 0.0
-    left: "_KdNode | None" = None
-    right: "_KdNode | None" = None
-    indices: np.ndarray | None = None
-
-
-class KdTreeKnn(KnnIndex):
-    """Exact k-NN using a median-split k-d tree with leaf buckets."""
-
-    def __init__(self, points: np.ndarray, leaf_size: int = 16) -> None:
-        super().__init__(points)
-        if leaf_size <= 0:
-            raise ModelError("leaf_size must be positive")
-        self.leaf_size = int(leaf_size)
-        all_indices = np.arange(self.n_points)
-        self._root = self._build(all_indices, depth=0)
-
-    def _build(self, indices: np.ndarray, depth: int) -> _KdNode:
-        if len(indices) <= self.leaf_size:
-            return _KdNode(indices=indices)
-        subset = self.points[indices]
-        # Split along the axis with the largest spread; this keeps the tree
-        # useful even though pmf vectors concentrate on few dimensions.
-        spreads = subset.max(axis=0) - subset.min(axis=0)
-        axis = int(np.argmax(spreads))
-        if spreads[axis] <= 0:
-            # All points identical along every axis: make a leaf to avoid
-            # infinite recursion on duplicated points.
-            return _KdNode(indices=indices)
-        values = subset[:, axis]
-        split = float(np.median(values))
-        left_mask = values <= split
-        # Guard against degenerate splits where the median equals the max.
-        if left_mask.all() or not left_mask.any():
-            left_mask = values < split
-            if left_mask.all() or not left_mask.any():
-                return _KdNode(indices=indices)
-        node = _KdNode(axis=axis, split=split)
-        node.left = self._build(indices[left_mask], depth + 1)
-        node.right = self._build(indices[~left_mask], depth + 1)
-        return node
-
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        point, k = self._check_query(point, k)
-        # Same einsum form the batched paths use for query norms, so the
-        # accumulated value (and therefore every distance) is bit-identical.
-        point_norm = float(np.einsum("ij,ij->i", point[None, :], point[None, :])[0])
-        # best: list of (distance, index) kept sorted, at most k entries.
-        best_distances = np.full(k, np.inf)
-        best_indices = np.full(k, -1, dtype=int)
-
-        def _consider(indices: np.ndarray) -> None:
-            nonlocal best_distances, best_indices
-            # The shared canonical distance expression keeps leaf distances
-            # bit-identical to the other backends' results.
-            distances = self._candidate_distances(point, point_norm, indices)
-            all_d = np.concatenate([best_distances, distances])
-            all_i = np.concatenate([best_indices, indices])
-            # Sort by distance, equal distances by ascending point index, so
-            # duplicated points resolve identically to the other backends.
-            order = np.lexsort((all_i, all_d))[:k]
-            best_distances = all_d[order]
-            best_indices = all_i[order]
-
-        def _search(node: _KdNode) -> None:
-            if node.indices is not None:
-                _consider(node.indices)
-                return
-            value = point[node.axis]
-            first, second = (
-                (node.left, node.right) if value <= node.split else (node.right, node.left)
-            )
-            if first is not None:
-                _search(first)
-            # Only skip the far branch if the splitting plane is provably
-            # further than the current k-th best distance; compared in
-            # squared space with the slack that covers the canonical
-            # expansion's cancellation error.
-            plane_sq = (value - node.split) ** 2 * (1.0 - _BOUND_MARGIN)
-            if second is not None and (
-                plane_sq - _BOUND_SLACK_SQ <= best_distances[-1] ** 2
-            ):
-                _search(second)
-
-        _search(self._root)
-        valid = best_indices >= 0
-        return best_distances[valid], best_indices[valid]
-
-    def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_queries(queries, k)
-        distances = []
-        indices = []
-        for query in queries:
-            d, i = self.query(query, k)
-            distances.append(d)
-            indices.append(i)
-        return np.asarray(distances), np.asarray(indices)
-
-    def _absorb_points(self, n_old: int) -> None:
-        # A k-d tree has no cheap in-place insertion that preserves the
-        # median-split structure; rebuilding from the combined point set is
-        # exactly the from-scratch state, which is the contract.
-        self._root = self._build(np.arange(self.n_points), depth=0)
-
-
-class GridSimplexKnn(KnnIndex):
-    """Grid-hashed exact k-NN over the probability simplex.
-
-    Reference points are bucketed by their quantised coordinates along the
-    ``projection_dims`` highest-spread axes (pmf vectors concentrate their
-    variance on few event types, so a low-dimensional projection separates
-    the behaviour clusters well).  Cell widths are scaled to the observed
-    per-axis spread — pmf mass rarely covers the whole [0, 1] range, and an
-    unscaled grid would collapse every cluster into a handful of cells.
-
-    A query ranks the occupied cells by Chebyshev shell distance from its
-    own cell — one vectorised pass over the occupied-cell table, never an
-    enumeration of the exponentially many neighbouring offsets — and scans
-    them in two phases: nearest cells until ``k`` candidates seed the
-    running k-th distance, then one bulk gather of every remaining cell the
-    distance bound cannot rule out.  The bound is provable: a point in a
-    cell ``s`` shells away differs by at least ``s`` cells along some
-    projected axis, i.e. by more than ``(s - 1) * width`` in that coordinate
-    alone, so its full-space distance is at least ``(s - 1) * min_width``.
-
-    Candidate distances use the shared canonical expansion, and the final
-    ``k`` are the lexicographic minimum under ``(distance, index)``, so the
-    results are bit-identical to :class:`BruteForceKnn` — only the number of
-    points *examined* shrinks.  :meth:`add_points` hashes new points into
-    their buckets directly, which reproduces the rebuild state exactly
-    because buckets keep ascending insertion order.
-    """
-
-    def __init__(
-        self,
-        points: np.ndarray,
-        resolution: int | None = None,
-        projection_dims: int | None = None,
-    ) -> None:
-        super().__init__(points)
-        if projection_dims is None:
-            projection_dims = min(self.dimension, 3)
-        projection_dims = int(projection_dims)
-        if not 1 <= projection_dims <= self.dimension:
-            raise ModelError(
-                "projection_dims must be between 1 and the point dimension"
-            )
-        spreads = self.points.max(axis=0) - self.points.min(axis=0)
-        # Highest-spread axes carry the discriminating mass; stable argsort
-        # of the negated spreads keeps the axis choice deterministic.
-        ranked = np.argsort(-spreads, kind="stable")[:projection_dims]
-        self._axes = np.sort(ranked)
-        if resolution is None:
-            # Aim at a couple dozen points per occupied cell; finer cells
-            # tighten the rectangle bound (less quantisation slack) at the
-            # cost of a larger occupied-cell table to rank per query.
-            target_cells = max(1.0, self.n_points / 16.0)
-            resolution = int(round(target_cells ** (1.0 / projection_dims)))
-            resolution = max(2, min(40, resolution))
-        if resolution < 1:
-            raise ModelError("resolution must be >= 1")
-        self.resolution = int(resolution)
-        self._lows = self.points[:, self._axes].min(axis=0)
-        axis_spreads = self.points[:, self._axes].max(axis=0) - self._lows
-        # Zero-spread axes put everything in one cell; width 1.0 keeps the
-        # transform finite (and, as pmf coordinates live in [0, 1], keeps
-        # the per-axis separation a valid lower bound).
-        self._widths = np.where(
-            axis_spreads > 0, axis_spreads / self.resolution, 1.0
-        )
-        self._buckets: dict[tuple[int, ...], np.ndarray] = {}
-        self._insert(self.points, 0)
-
-    # ------------------------------------------------------------------ #
-    # Bucketing
-    # ------------------------------------------------------------------ #
-    def _cells(self, points: np.ndarray) -> np.ndarray:
-        scaled = (points[:, self._axes] - self._lows) / self._widths
-        return np.floor(scaled).astype(np.int64)
-
-    def _insert(self, points: np.ndarray, base_index: int) -> None:
-        grouped: dict[tuple[int, ...], list[int]] = {}
-        for offset, cell in enumerate(map(tuple, self._cells(points).tolist())):
-            grouped.setdefault(cell, []).append(base_index + offset)
-        for cell, rows in grouped.items():
-            fresh = np.asarray(rows, dtype=np.int64)
-            held = self._buckets.get(cell)
-            self._buckets[cell] = (
-                fresh if held is None else np.concatenate([held, fresh])
-            )
-        # Flat occupied-cell table for the vectorised per-query shell
-        # ranking (dict iteration order is insertion order, deterministic).
-        self._cell_table = np.asarray(list(self._buckets.keys()), dtype=np.int64)
-        self._cell_buckets = list(self._buckets.values())
-
-    def _absorb_points(self, n_old: int) -> None:
-        self._extend_sq_norms(n_old)
-        self._insert(self.points[n_old:], n_old)
-
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_queries(queries, k)
-        k = min(k, self.n_points)
-        n_queries = len(queries)
-        out_distances = np.empty((n_queries, k))
-        out_indices = np.empty((n_queries, k), dtype=int)
-        query_norms = np.einsum("ij,ij->i", queries, queries)
-        query_cells = self._cells(queries)
-        buckets = self._cell_buckets
-        bucket_sizes = np.asarray([len(bucket) for bucket in buckets])
-        for row in range(n_queries):
-            query = queries[row]
-            # Rectangle lower bound of every occupied cell, vectorised: along
-            # each axis a point whose cell differs by c is more than
-            # (c - 1) * width away in that coordinate alone, and the per-axis
-            # separations combine as a Euclidean sum of squares.
-            cell_deltas = np.abs(self._cell_table - query_cells[row])
-            separations = np.maximum(cell_deltas - 1, 0) * self._widths
-            bounds_sq = np.einsum("ij,ij->i", separations, separations)
-            order = np.argsort(bounds_sq, kind="stable")
-            # Phase one: cells in bound order until k candidates seed the
-            # running k-th distance (the home neighbourhood has bound zero).
-            cumulative = np.cumsum(bucket_sizes[order])
-            take = int(np.searchsorted(cumulative, k)) + 1
-            take = min(take, len(order))
-            indices = np.concatenate([buckets[cell] for cell in order[:take]])
-            distances = self._candidate_distances(query, query_norms[row], indices)
-            if len(distances) >= k:
-                kth = np.partition(distances, k - 1)[k - 1]
-            else:
-                kth = np.inf
-            # Phase two: one bulk gather of every unvisited cell the bound
-            # cannot rule out.  The margin and slack absorb the quantisation
-            # and cancellation ulps so an exact tie can never be dropped.
-            rest = order[take:]
-            if len(rest):
-                viable = (
-                    bounds_sq[rest] * (1.0 - _BOUND_MARGIN) - _BOUND_SLACK_SQ
-                    <= kth * kth
-                )
-                rest = rest[viable]
-            if len(rest):
-                more = np.concatenate([buckets[cell] for cell in rest])
-                indices = np.concatenate([indices, more])
-                distances = np.concatenate(
-                    [
-                        distances,
-                        self._candidate_distances(query, query_norms[row], more),
-                    ]
-                )
-            out_distances[row], out_indices[row] = _select_k_sorted(
-                distances, indices, k
-            )
-        return out_distances, out_indices
-
-
-class BallTreeKnn(KnnIndex):
-    """Blocked ball tree: leaf blocks with vectorised per-block pruning.
-
-    The reference set is recursively median-split (highest-spread axis, as
-    the k-d tree does) into leaf blocks of ``leaf_size`` points; each block
-    stores its centroid and the covering radius.  A batched query computes
-    every query-to-centroid distance in one vectorised pass, derives the
-    per-block lower bound ``max(|q - c| - r, 0)``, and scans blocks in
-    ascending bound order until the bound of the next block exceeds the
-    running k-th distance — each scanned block is one vectorised candidate
-    gather, never a per-point loop.
-
-    Incremental :meth:`add_points` appends to a *tail* of points that is
-    always scanned exhaustively (so results match a rebuild exactly) and
-    re-splits the whole set once the tail outgrows
-    ``tail_rebuild_fraction`` of the tree, keeping queries sublinear under
-    sustained online adaptation.
-    """
-
-    def __init__(
-        self,
-        points: np.ndarray,
-        leaf_size: int = 64,
-        tail_rebuild_fraction: float = 0.25,
-    ) -> None:
-        super().__init__(points)
-        if leaf_size <= 0:
-            raise ModelError("leaf_size must be positive")
-        if tail_rebuild_fraction <= 0:
-            raise ModelError("tail_rebuild_fraction must be positive")
-        self.leaf_size = int(leaf_size)
-        self.tail_rebuild_fraction = float(tail_rebuild_fraction)
-        self._rebuild_blocks()
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def _rebuild_blocks(self) -> None:
-        blocks: list[np.ndarray] = []
-        stack = [np.arange(self.n_points)]
-        while stack:
-            indices = stack.pop()
-            if len(indices) <= self.leaf_size:
-                blocks.append(indices)
-                continue
-            subset = self.points[indices]
-            spreads = subset.max(axis=0) - subset.min(axis=0)
-            axis = int(np.argmax(spreads))
-            if spreads[axis] <= 0:
-                blocks.append(indices)
-                continue
-            values = subset[:, axis]
-            split = float(np.median(values))
-            left = values <= split
-            if left.all() or not left.any():
-                left = values < split
-                if left.all() or not left.any():
-                    blocks.append(indices)
-                    continue
-            stack.append(indices[~left])
-            stack.append(indices[left])
-        centroids = np.stack([self.points[block].mean(axis=0) for block in blocks])
-        radii = np.empty(len(blocks))
-        for position, block in enumerate(blocks):
-            deltas = self.points[block] - centroids[position]
-            radii[position] = np.sqrt(
-                np.einsum("ij,ij->i", deltas, deltas)
-            ).max()
-        self._blocks = blocks
-        self._centroids = centroids
-        # Pad the covering radii by a hair so floating-point slack in the
-        # radius computation can never tighten a bound below a true distance.
-        self._radii = radii * (1.0 + _BOUND_MARGIN) + 1e-15
-        self._centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
-        self._tail_start = self.n_points
-
-    def _absorb_points(self, n_old: int) -> None:
-        self._extend_sq_norms(n_old)
-        tail_length = self.n_points - self._tail_start
-        tree_size = max(self._tail_start, 1)
-        if tail_length > max(self.leaf_size, self.tail_rebuild_fraction * tree_size):
-            self._rebuild_blocks()
-
-    # ------------------------------------------------------------------ #
-    # Search
-    # ------------------------------------------------------------------ #
-    def query_many(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_queries(queries, k)
-        k = min(k, self.n_points)
-        n_queries = len(queries)
-        out_distances = np.empty((n_queries, k))
-        out_indices = np.empty((n_queries, k), dtype=int)
-        query_norms = np.einsum("ij,ij->i", queries, queries)
-        # One vectorised bound computation for every (query, block) pair.
-        centroid_sq = (
-            query_norms[:, None]
-            - 2.0 * np.einsum("qd,bd->qb", queries, self._centroids)
-            + self._centroid_sq_norms[None, :]
-        )
-        centroid_distances = np.sqrt(np.maximum(centroid_sq, 0.0))
-        bounds = np.maximum(centroid_distances - self._radii[None, :], 0.0) * (
-            1.0 - _BOUND_MARGIN
-        )
-        # Phase-one seeding goes by *centroid* distance — the block whose
-        # centre is closest almost surely holds true near neighbours, which
-        # makes the seeded k-th distance tight.  (The block with the
-        # smallest lower *bound* may be a huge-radius block whose points are
-        # all far away, which would seed a useless bound.)
-        seed_order = np.argsort(centroid_distances, axis=1, kind="stable")
-        block_sizes = np.asarray([len(block) for block in self._blocks])
-        tail = np.arange(self._tail_start, self.n_points)
-        for row in range(n_queries):
-            query = queries[row]
-            query_norm = query_norms[row]
-            order = seed_order[row]
-            # Phase one: the tail (always scanned — that is what makes
-            # incremental adds exact) plus the closest-centroid blocks until
-            # k candidates seed the running k-th distance.
-            cumulative = tail.size + np.cumsum(block_sizes[order])
-            take = int(np.searchsorted(cumulative, k)) + 1
-            take = min(take, len(order))
-            taken = order[:take]
-            chunks = [self._blocks[position] for position in taken]
-            if tail.size:
-                chunks.append(tail)
-            indices = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            distances = self._candidate_distances(query, query_norm, indices)
-            if len(distances) >= k:
-                kth = np.partition(distances, k - 1)[k - 1]
-            else:
-                kth = np.inf
-            # Phase two: one bulk gather of every remaining block whose
-            # lower bound cannot rule it out.
-            survives = bounds[row] ** 2 - _BOUND_SLACK_SQ <= kth * kth
-            survives[taken] = False
-            rest = np.flatnonzero(survives)
-            if len(rest):
-                more = np.concatenate([self._blocks[position] for position in rest])
-                indices = np.concatenate([indices, more])
-                distances = np.concatenate(
-                    [distances, self._candidate_distances(query, query_norm, more)]
-                )
-            out_distances[row], out_indices[row] = _select_k_sorted(
-                distances, indices, k
-            )
-        return out_distances, out_indices
+#: The one index type; the name older code imported as the k-NN interface.
+KnnIndex = BruteForceKnn

@@ -21,6 +21,11 @@ The implementation follows the original definitions:
 
 Duplicated points would make ``lrd`` infinite; a small epsilon keeps every
 quantity finite while preserving the ordering of scores.
+
+Neighbours come from :class:`~repro.analysis.knn.BruteForceKnn`, the one
+exact k-NN search: distances are bit-identical however queries are batched,
+and ties resolve to the lower reference index, so a score never depends on
+batch size or on how the reference set was grown.
 """
 
 from __future__ import annotations
@@ -28,26 +33,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
-from .knn import (
-    KNN_BACKENDS,
-    BruteForceKnn,
-    BallTreeKnn,
-    GridSimplexKnn,
-    KdTreeKnn,
-    KnnIndex,
-    make_index,
-)
+from .knn import BruteForceKnn
 
 __all__ = ["LocalOutlierFactor"]
 
 _EPSILON = 1e-12
-
-_INDEX_KINDS = {
-    BruteForceKnn: "brute",
-    KdTreeKnn: "kdtree",
-    GridSimplexKnn: "grid",
-    BallTreeKnn: "balltree",
-}
 
 
 class LocalOutlierFactor:
@@ -57,21 +47,13 @@ class LocalOutlierFactor:
     ----------
     k_neighbours:
         Number of neighbours (``K`` in the paper; its experiment uses 20).
-    index_kind:
-        One of the :data:`~repro.analysis.knn.KNN_BACKENDS` names or
-        ``"auto"`` (brute force below the crossover reference size, blocked
-        ball tree above it).  Every backend is exact and returns
-        bit-identical scores, see :mod:`repro.analysis.knn`.
     """
 
-    def __init__(self, k_neighbours: int = 20, index_kind: str = "brute") -> None:
+    def __init__(self, k_neighbours: int = 20) -> None:
         if k_neighbours < 1:
             raise ModelError("k_neighbours must be >= 1")
-        if index_kind != "auto" and index_kind not in KNN_BACKENDS:
-            raise ModelError(f"unknown index kind: {index_kind!r}")
         self.k_neighbours = int(k_neighbours)
-        self.index_kind = index_kind
-        self._index: KnnIndex | None = None
+        self._index: BruteForceKnn | None = None
         self._k_distances: np.ndarray | None = None
         self._lrd: np.ndarray | None = None
         self._training_scores: np.ndarray | None = None
@@ -89,18 +71,17 @@ class LocalOutlierFactor:
                 f"need more than k_neighbours={self.k_neighbours} reference points, "
                 f"got {len(points)}"
             )
-        self._index = make_index(self.index_kind, points)
+        self._index = BruteForceKnn(points)
         self._finalise_fit()
         return self
 
     def partial_fit(self, new_points: np.ndarray) -> "LocalOutlierFactor":
         """Absorb additional reference points into the fitted model.
 
-        The index grows incrementally (no rebuild for the backends that
-        support it) and the LOF quantities — k-distances, local reachability
-        densities, training scores — are recomputed over the combined point
-        set, so scoring behaves exactly as if :meth:`fit` had been called on
-        all points at once.
+        The index grows incrementally (no rebuild) and the LOF quantities —
+        k-distances, local reachability densities, training scores — are
+        recomputed over the combined point set, so scoring behaves exactly
+        as if :meth:`fit` had been called on all points at once.
         """
         index = self._require_fitted()
         new_points = np.atleast_2d(np.asarray(new_points, dtype=float))
@@ -147,26 +128,10 @@ class LocalOutlierFactor:
         A stable argsort on the "is self" mask pushes the (at most one) self
         entry to the back of each row while preserving distance order, so the
         first ``k`` columns are the k true neighbours — whether or not the
-        point itself made the tie-broken top ``k + 1``.  If an index
-        implementation ever returns fewer than ``k + 1`` neighbours (e.g.
-        heavily duplicated points colliding with the self exclusion), the
-        affected rows fall back to re-querying with a progressively larger k
-        instead of crashing on an empty distance row.
+        point itself made the tie-broken top ``k + 1``.  A fitted model holds
+        more than ``k`` points, so every row has ``k + 1`` entries.
         """
         n = len(points)
-        if distances.shape[1] <= k:
-            # Defensive fallback for indexes that returned short rows: widen
-            # the query until every row has k non-self neighbours available.
-            assert self._index is not None
-            wider = 2 * k + 2
-            while distances.shape[1] <= k and wider <= 2 * (self._index.n_points + 1):
-                distances, indices = self._index.query_many(points, wider)
-                wider *= 2
-            if distances.shape[1] <= k:
-                raise ModelError(
-                    f"k-NN index returned only {distances.shape[1]} neighbours "
-                    f"per point; need at least {k + 1} to fit LOF"
-                )
         self_mask = indices == np.arange(n)[:, None]
         order = np.argsort(self_mask, axis=1, kind="stable")
         rows = np.arange(n)[:, None]
@@ -180,7 +145,7 @@ class LocalOutlierFactor:
         """Whether :meth:`fit` has been called."""
         return self._index is not None
 
-    def _require_fitted(self) -> KnnIndex:
+    def _require_fitted(self) -> BruteForceKnn:
         if self._index is None or self._k_distances is None or self._lrd is None:
             raise NotFittedError("LocalOutlierFactor.score() called before fit()")
         return self._index
@@ -189,11 +154,6 @@ class LocalOutlierFactor:
     def n_reference_points(self) -> int:
         """Number of reference points the model was fitted on."""
         return self._require_fitted().n_points
-
-    @property
-    def resolved_index_kind(self) -> str:
-        """Concrete backend in use (resolves what ``"auto"`` picked)."""
-        return _INDEX_KINDS[type(self._require_fitted())]
 
     @property
     def reference_points(self) -> np.ndarray:

@@ -11,10 +11,11 @@ online detector's running past pmf.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -22,10 +23,53 @@ from ..errors import ModelError, NotFittedError
 from ..trace.batch import WindowBatch
 from ..trace.event import EventTypeRegistry
 from ..trace.window import TraceWindow
+from . import knn
 from .lof import LocalOutlierFactor
 from .pmf import Pmf, pmf_matrix
 
 __all__ = ["ReferenceModel"]
+
+
+class _RetiredIndexError(Exception):
+    """A pickled LOF names a k-NN class this version no longer has."""
+
+
+#: The globals a saved LOF payload may name: the fitted classes and NumPy's
+#: array reconstructors (under ``numpy.core`` before NumPy 2, ``numpy._core``
+#: since).
+_PAYLOAD_GLOBALS = frozenset(
+    {
+        (LocalOutlierFactor.__module__, LocalOutlierFactor.__name__),
+        (knn.__name__, knn.BruteForceKnn.__name__),
+        ("numpy", "dtype"),
+        ("numpy", "ndarray"),
+    }
+    | {
+        (f"numpy.{core}.{module}", name)
+        for core in ("core", "_core")
+        for module, name in (("multiarray", "_reconstruct"), ("numeric", "_frombuffer"))
+    }
+)
+
+
+class _LofUnpickler(pickle.Unpickler):
+    """Unpickler that resolves only the globals a fitted LOF is made of.
+
+    Any other global is refused before it can be called, so a crafted model
+    file cannot run code while it loads.  Model files written while the
+    tree indexes (k-d, grid, ball) existed pickle them inside the fitted
+    LOF; a name missing from :mod:`~repro.analysis.knn` raises
+    :class:`_RetiredIndexError` and :meth:`ReferenceModel.load` refits such
+    a model from its stored points instead, which scores bit-identically
+    because every backend returned the same neighbours.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) in _PAYLOAD_GLOBALS:
+            return super().find_class(module, name)
+        if module == knn.__name__ and not hasattr(knn, name):
+            raise _RetiredIndexError(name)
+        raise ModelError(f"fitted-index payload names a disallowed global {module}.{name}")
 
 
 class ReferenceModel:
@@ -40,7 +84,10 @@ class ReferenceModel:
         correspond to start-up gaps and would pollute the model with
         near-empty pmfs.
     index_kind:
-        Passed through to :class:`~repro.analysis.lof.LocalOutlierFactor`.
+        One of the :data:`~repro.config.KNN_BACKENDS` names, stored in saved
+        models so older configurations and model files load.  Every name
+        selects the one exact k-NN search; unknown names raise
+        :class:`~repro.errors.ModelError`.
     """
 
     def __init__(
@@ -52,6 +99,7 @@ class ReferenceModel:
     ) -> None:
         if min_events_per_window < 0:
             raise ModelError("min_events_per_window must be >= 0")
+        knn.resolve_backend(index_kind, 0)
         self.k_neighbours = int(k_neighbours)
         self.min_events_per_window = int(min_events_per_window)
         self.index_kind = index_kind
@@ -149,9 +197,7 @@ class ReferenceModel:
                 points = unique
         self._points = points
         self._mean_pmf_counts = counts
-        self._lof = LocalOutlierFactor(
-            k_neighbours=self.k_neighbours, index_kind=self.index_kind
-        ).fit(points)
+        self._lof = LocalOutlierFactor(k_neighbours=self.k_neighbours).fit(points)
         return self
 
     def adapt(
@@ -205,22 +251,6 @@ class ReferenceModel:
         self._points = np.vstack([self._points, vectors])
         return self
 
-    def reindex(self, index_kind: str) -> "ReferenceModel":
-        """Swap the fitted model onto a different k-NN backend.
-
-        Every backend is exact and bit-identical, so this changes only the
-        speed profile.  No-op when the requested kind is already in use.
-        """
-        self._require_fitted()
-        if index_kind == self.index_kind:
-            return self
-        assert self._points is not None
-        self.index_kind = index_kind
-        self._lof = LocalOutlierFactor(
-            k_neighbours=self.k_neighbours, index_kind=index_kind
-        ).fit(self._points)
-        return self
-
     def fingerprint(self) -> dict:
         """Identity of the fitted model: dims, point count, registry hash.
 
@@ -269,9 +299,7 @@ class ReferenceModel:
         model._mean_pmf_counts = points.mean(axis=0)
         model._n_windows_used = len(points)
         model._n_windows_seen = len(points)
-        model._lof = LocalOutlierFactor(
-            k_neighbours=k_neighbours, index_kind=index_kind
-        ).fit(points)
+        model._lof = LocalOutlierFactor(k_neighbours=k_neighbours).fit(points)
         return model
 
     # ------------------------------------------------------------------ #
@@ -421,7 +449,9 @@ class ReferenceModel:
         built k-NN index — is pickled into the archive, so :meth:`load` can
         restore the model without re-running the index build.  Pass
         ``include_index=False`` for a smaller, pickle-free file; loading then
-        refits from the stored points (bit-identical scores either way).
+        refits from the stored points (bit-identical scores either way).  A
+        file whose pickled LOF holds a retired tree index loads the same
+        way, by refitting.
         """
         self._require_fitted()
         assert self._points is not None and self._mean_pmf_counts is not None
@@ -462,17 +492,22 @@ class ReferenceModel:
                 lof_blob = bytes(data["lof_state"]) if "lof_state" in data else None
             except (KeyError, json.JSONDecodeError) as exc:
                 raise ModelError(f"malformed reference model file: {path}") from exc
+        lof = None
         if lof_blob is not None:
             try:
-                lof = pickle.loads(lof_blob)
+                lof = _LofUnpickler(io.BytesIO(lof_blob)).load()
+            except _RetiredIndexError:
+                pass  # refit from the stored points below
             except Exception as exc:
                 raise ModelError(
                     f"malformed fitted-index payload in model file: {path}"
                 ) from exc
-            if not isinstance(lof, LocalOutlierFactor) or not lof.is_fitted:
-                raise ModelError(
-                    f"model file {path} does not hold a fitted LOF index"
-                )
+            else:
+                if not isinstance(lof, LocalOutlierFactor) or not lof.is_fitted:
+                    raise ModelError(
+                        f"model file {path} does not hold a fitted LOF index"
+                    )
+        if lof is not None:
             model = cls(
                 k_neighbours=int(metadata["k_neighbours"]),
                 index_kind=str(metadata.get("index_kind", "brute")),

@@ -136,14 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--window-ms", type=float, default=40.0)
     learn.add_argument("--k", type=int, default=20)
     learn.add_argument("--model", type=Path, required=True, help="output model file (.npz)")
-    learn.add_argument(
-        "--knn-backend",
-        choices=["auto", "brute", "kdtree", "grid", "balltree"],
-        default=None,
-        help="k-NN index for reference scoring (default auto: brute force "
-        "below the crossover reference size, ball tree above; every backend "
-        "is exact and bit-identical)",
-    )
 
     monitor = subparsers.add_parser("monitor", help="monitor a trace with a learned model")
     monitor.add_argument("trace", type=Path)
@@ -205,14 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "accounted window bytes exactly)",
     )
     monitor.add_argument("--output", type=Path, default=None, help="recorded trace output")
-    monitor.add_argument(
-        "--knn-backend",
-        choices=["auto", "brute", "kdtree", "grid", "balltree"],
-        default=None,
-        help="k-NN index for reference scoring (default auto; a loaded "
-        "--model is reindexed when the flag is given explicitly; every "
-        "backend is exact and bit-identical)",
-    )
 
     fleet = subparsers.add_parser(
         "fleet", help="monitor several traces as one sharded fleet"
@@ -289,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--output-dir", type=Path, default=None, help="record each shard here"
-    )
-    fleet.add_argument(
-        "--knn-backend",
-        choices=["auto", "brute", "kdtree", "grid", "balltree"],
-        default=None,
-        help="k-NN index for reference scoring (default auto; a loaded "
-        "--model is reindexed when the flag is given explicitly; every "
-        "backend is exact and bit-identical)",
     )
 
     experiment = subparsers.add_parser(
@@ -391,7 +367,6 @@ def _monitor_configs(args: argparse.Namespace) -> tuple[DetectorConfig, MonitorC
         reference_duration_us=int(args.reference_s * 1e6),
         batch_size=getattr(args, "batch_size", 1),
         recording_format=getattr(args, "recording_format", "jsonl"),
-        knn_backend=getattr(args, "knn_backend", None) or "auto",
     )
     return detector, monitor
 
@@ -439,8 +414,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     registry = EventTypeRegistry.with_default_types()
     monitor = TraceMonitor(detector_config, monitor_config, registry)
     model = ReferenceModel.load(args.model) if args.model else None
-    if model is not None and args.knn_backend is not None:
-        model.reindex(args.knn_backend)
     if args.on_corrupt != "raise" and not args.follow:
         raise ConfigurationError(
             "--on-corrupt applies to streaming ingest only (add --follow)"
@@ -525,7 +498,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         recording_format=args.recording_format,
         fleet_workers=args.workers,
-        knn_backend=args.knn_backend or "auto",
         stream_queue_depth=args.queue_depth,
         shard_chunk_windows=args.chunk_windows,
         shard_failure_policy=args.failure_policy,
@@ -577,8 +549,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.model is not None:
         model = ReferenceModel.load(args.model)
-        if args.knn_backend is not None:
-            model.reindex(args.knn_backend)
     else:
         # Learn the shared model on the reference prefix of the first trace
         # ("golden device"); every trace is then monitored in full.

@@ -30,7 +30,13 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "save_config",
+    "KNN_BACKENDS",
 ]
+
+#: k-NN backend names older configurations and model files carry.  Each one
+#: selects the one exact search, :class:`~repro.analysis.knn.BruteForceKnn`
+#: (the retired tree backends returned bit-identical neighbours).
+KNN_BACKENDS = ("auto", "brute", "kdtree", "grid", "balltree")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -130,12 +136,9 @@ class MonitorConfig:
         multi-core scaling.  Results, output files and the manifest are
         bit-identical for any worker count.
     knn_backend:
-        k-NN index used for reference scoring: one of ``"brute"``,
-        ``"kdtree"``, ``"grid"``, ``"balltree"`` or ``"auto"`` (default).
-        ``"auto"`` keeps the brute-force scan below
-        :data:`~repro.analysis.knn.AUTO_CROSSOVER_POINTS` reference points
-        and switches to the blocked ball tree above it.  Every backend is
-        exact: decisions, reports and recorded bytes are bit-identical.
+        Retired: one of the :data:`KNN_BACKENDS` names (default ``"auto"``),
+        accepted so older configurations still load.  Every name means the
+        one exact k-NN search; an unknown name is rejected.
     stream_queue_depth:
         Depth of the bounded hand-off queues used by the streaming ingest
         plane (:mod:`repro.trace.streaming`) and the chunked per-shard
@@ -204,8 +207,8 @@ class MonitorConfig:
         )
         _require(self.fleet_workers >= 1, "fleet_workers must be >= 1")
         _require(
-            self.knn_backend in {"auto", "brute", "kdtree", "grid", "balltree"},
-            "knn_backend must be one of 'auto', 'brute', 'kdtree', 'grid', 'balltree'",
+            self.knn_backend in KNN_BACKENDS,
+            f"knn_backend must be one of {', '.join(map(repr, KNN_BACKENDS))}",
         )
         _require(
             self.stream_queue_depth >= 1, "stream_queue_depth must be >= 1"

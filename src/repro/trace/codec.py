@@ -26,7 +26,7 @@ from ..errors import TraceFormatError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .columns import TraceColumns
-from .event import EventTypeRegistry, TraceEvent
+from .event import _INT64_MAX, EventTypeRegistry, TraceEvent
 from .window import TraceWindow
 
 __all__ = [
@@ -99,10 +99,6 @@ def _parse_segment_header(data: bytes, offset: int) -> tuple["EventTypeRegistry"
         raise TraceFormatError(f"unsupported trace version: {header.get('version')}")
     registry = EventTypeRegistry.from_dict(header.get("registry", {}))
     return registry, int(header.get("count", 0)), header_end
-
-
-#: Largest timestamp the int64 columns (and the object decoder) accept.
-_INT64_MAX = (1 << 63) - 1
 
 
 def _timestamp_range_error(offset: int) -> TraceFormatError:

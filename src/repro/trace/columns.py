@@ -50,7 +50,7 @@ from .codec import (
     _timestamp_range_error,
     _varint_size,
 )
-from .event import TraceEvent
+from .event import _INT64_MAX, _INT64_MIN, TraceEvent
 
 #: Shared stateless codec for lazy JSON-line materialisation.
 _JSON_CODEC = JsonTraceCodec()
@@ -902,10 +902,11 @@ class JsonColumnsDecoder:
     the one-shot decode bit for bit when concatenated.
 
     ``on_corrupt="skip"`` quarantines corruption instead of raising: a
-    malformed JSON line, malformed record or negative timestamp is dropped
-    (its 1-based line number lands in :attr:`corrupt_offsets`), and invalid
-    UTF-8 decodes to replacement characters — turning the damaged lines
-    into malformed-JSON skips rather than a fatal stream error.
+    malformed JSON line, malformed record, negative timestamp, or timestamp
+    or core outside the int64 range is dropped (its 1-based line number
+    lands in :attr:`corrupt_offsets`), and invalid UTF-8 decodes to
+    replacement characters — turning the damaged lines into malformed-JSON
+    skips rather than a fatal stream error.
     """
 
     __slots__ = (
@@ -1066,6 +1067,14 @@ class JsonColumnsDecoder:
                         continue
                     raise TraceFormatError(
                         f"negative timestamp at line {line_no}: {timestamp}"
+                    )
+                if timestamp > _INT64_MAX or not _INT64_MIN <= core <= _INT64_MAX:
+                    if skip:
+                        corrupt.append(line_no)
+                        continue
+                    raise TraceFormatError(
+                        f"event field outside the int64 range at line "
+                        f"{line_no}: {record!r}"
                     )
                 code = name_codes.get(etype)
                 if code is None:

@@ -24,6 +24,11 @@ from ..errors import TraceFormatError
 
 __all__ = ["EventType", "EventTypeRegistry", "TraceEvent", "DEFAULT_REGISTRY"]
 
+#: Range of the int64 columns decoded traces land in; a timestamp or core
+#: outside it is a corrupt record, not a number to carry.
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
 
 class EventType(str, Enum):
     """Canonical event types emitted by the simulated platform and pipeline.
@@ -245,7 +250,7 @@ class TraceEvent:
     def from_dict(cls, data: Mapping[str, Any]) -> "TraceEvent":
         """Rebuild an event from :meth:`to_dict` output."""
         try:
-            return cls(
+            event = cls(
                 timestamp_us=int(data["t"]),
                 etype=str(data["type"]),
                 core=int(data.get("core", 0)),
@@ -255,3 +260,6 @@ class TraceEvent:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # OverflowError: int() of an Infinity literal.
             raise TraceFormatError(f"malformed event record: {data!r}") from exc
+        if event.timestamp_us > _INT64_MAX or not _INT64_MIN <= event.core <= _INT64_MAX:
+            raise TraceFormatError(f"event field outside the int64 range: {data!r}")
+        return event

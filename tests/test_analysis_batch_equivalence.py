@@ -169,12 +169,11 @@ class TestKnnLofEquivalence:
     def test_fit_with_more_than_k_identical_points(self):
         # Regression: heavily duplicated reference points must not crash fit
         # (the old padding path could index an empty distance row).
-        for index_kind in ("brute", "kdtree"):
-            points = np.vstack([np.ones((25, 3)), np.eye(3)])
-            lof = LocalOutlierFactor(k_neighbours=20, index_kind=index_kind).fit(points)
-            assert np.all(np.isfinite(lof.training_scores))
-            assert np.isfinite(lof.score(np.ones(3)))
-            assert np.isfinite(lof.score(np.array([5.0, 5.0, 5.0])))
+        points = np.vstack([np.ones((25, 3)), np.eye(3)])
+        lof = LocalOutlierFactor(k_neighbours=20).fit(points)
+        assert np.all(np.isfinite(lof.training_scores))
+        assert np.isfinite(lof.score(np.ones(3)))
+        assert np.isfinite(lof.score(np.array([5.0, 5.0, 5.0])))
 
 
 class TestDetectorBatchEquivalence:

@@ -1,19 +1,20 @@
-"""Equivalence suite for the sublinear k-NN backends.
+"""Exactness suite for the one k-NN search, :class:`BruteForceKnn`.
 
-Every index behind :class:`~repro.analysis.knn.KnnIndex` is *exact*: for any
-reference set and any query batch it must return bit-identical neighbour
-sets — same distances, same indices, ties broken by ascending point index —
-as :class:`BruteForceKnn`.  That contract is what lets the monitor swap
-backends purely for speed: LOF scores, decisions, reports and recorded
-bytes cannot change.  This module locks the contract down at every layer:
+The kernel selects neighbours on *squared* distances and takes ``sqrt`` of
+the ``k`` selected values only, repairing the rows where an unselected
+squared value could share the ``k``-th distance.  Every result must equal a
+slow oracle kept in this file — the full ``sqrt`` distance matrix of the
+same expansion and a per-row ``np.lexsort((index, distance))`` — bit for
+bit.  The suite covers:
 
-* raw index queries (single, batched, duplicates, degenerate dims, k edge
-  cases, hypothesis-driven random instances),
-* incremental ``add_points`` versus a from-scratch rebuild,
-* pickle round-trips of fitted indexes (the PR 3 fleet transport path),
-* LOF scores and ``partial_fit`` versus fit-on-combined,
-* full monitor decisions/reports and fleet output files (serial and
-  process-parallel) across ``MonitorConfig.knn_backend`` values.
+* duplicates, near-coincident points, negative squared values clamped to
+  zero, and distinct squared values that share one ``sqrt``;
+* every ``k`` edge (1, middle, ``n - 1``, ``n``, ``n + 2``) and
+  hypothesis-driven random instances;
+* query sets spanning several distance blocks (each row equals its solo
+  query), incremental ``add_points`` versus a rebuild, pickle round-trips;
+* LOF ``partial_fit`` versus ``fit``, and monitor/fleet runs whose configs
+  name a retired backend.
 """
 
 from __future__ import annotations
@@ -25,33 +26,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.fleet import ShardedTraceMonitor
-from repro.analysis.knn import (
-    AUTO_CROSSOVER_POINTS,
-    KNN_BACKENDS,
-    BallTreeKnn,
-    BruteForceKnn,
-    GridSimplexKnn,
-    KdTreeKnn,
-    make_index,
-    resolve_backend,
-)
+from repro.analysis.knn import _TIE_BAND_ULPS, BruteForceKnn, resolve_backend
 from repro.analysis.lof import LocalOutlierFactor
 from repro.analysis.model import ReferenceModel
 from repro.analysis.monitor import TraceMonitor
-from repro.config import DetectorConfig, MonitorConfig
-from repro.errors import ModelError
+from repro.config import KNN_BACKENDS, DetectorConfig, MonitorConfig
+from repro.errors import ConfigurationError, ModelError
 from repro.trace.event import EventTypeRegistry
 from repro.trace.generator import PeriodicTraceGenerator, SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
 
-INDEXED_BACKENDS = tuple(name for name in KNN_BACKENDS if name != "brute")
-
-INDEX_CLASSES = {
-    "brute": BruteForceKnn,
-    "kdtree": KdTreeKnn,
-    "grid": GridSimplexKnn,
-    "balltree": BallTreeKnn,
-}
+RETIRED_BACKENDS = ("kdtree", "grid", "balltree", "auto")
 
 
 def dirichlet_points(seed: int, n: int, dim: int) -> np.ndarray:
@@ -69,148 +54,223 @@ def dirichlet_points(seed: int, n: int, dim: int) -> np.ndarray:
     return points
 
 
-def assert_bit_identical(result, oracle):
+def raw_squared(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The unclamped ``|q|^2 - 2 q.p + |p|^2`` expansion, as the kernel forms it."""
+    return (
+        np.einsum("ij,ij->i", queries, queries)[:, None]
+        - 2.0 * np.einsum("qd,nd->qn", queries, points)
+        + np.einsum("ij,ij->i", points, points)[None, :]
+    )
+
+
+def oracle(points: np.ndarray, queries: np.ndarray, k: int):
+    """Slow reference: full sqrt matrix, per-row lexsort by (distance, index)."""
+    distances = np.sqrt(np.maximum(raw_squared(points, queries), 0.0))
+    k = min(k, len(points))
+    index = np.arange(len(points))
+    order = np.array([np.lexsort((index, row))[:k] for row in distances])
+    return np.take_along_axis(distances, order, axis=1), order
+
+
+def assert_matches_oracle(points, queries, k):
     """Distances and indices must match exactly — not just approximately."""
-    distances, indices = result
-    oracle_distances, oracle_indices = oracle
+    distances, indices = BruteForceKnn(points).query_many(queries, k)
+    oracle_distances, oracle_indices = oracle(points, queries, k)
     np.testing.assert_array_equal(indices, oracle_indices)
     np.testing.assert_array_equal(distances, oracle_distances)
 
 
-class TestBackendRegistry:
-    def test_backend_names(self):
-        assert KNN_BACKENDS == ("brute", "kdtree", "grid", "balltree")
+#: The ``k`` edges every oracle test covers, one test case each.
+K_CASES = ("one", "middle", "n_minus_1", "n", "n_plus_2")
 
-    def test_make_index_constructs_each_backend(self):
-        points = dirichlet_points(0, 60, 4)
-        for name in KNN_BACKENDS:
-            assert isinstance(make_index(name, points), INDEX_CLASSES[name])
 
-    def test_auto_resolves_by_reference_size(self):
-        assert resolve_backend("auto", AUTO_CROSSOVER_POINTS - 1) == "brute"
-        assert resolve_backend("auto", AUTO_CROSSOVER_POINTS) == "balltree"
-        assert resolve_backend("grid", 10) == "grid"
+def k_for(case: str, n: int) -> int:
+    return {
+        "one": 1,
+        "middle": max(1, n // 3),
+        "n_minus_1": max(1, n - 1),
+        "n": n,
+        "n_plus_2": n + 2,
+    }[case]
+
+
+def k_values(n: int) -> tuple[int, ...]:
+    return tuple(k_for(case, n) for case in K_CASES)
+
+
+class TestBackendNames:
+    @pytest.mark.parametrize("name", KNN_BACKENDS)
+    def test_every_legacy_name_resolves_to_brute(self, name):
+        assert resolve_backend(name, 10) == "brute"
+        assert resolve_backend(name, 1_000_000) == "brute"
+        model = ReferenceModel.from_points(
+            dirichlet_points(0, 20, 3), ("a", "b", "c"), k_neighbours=3, index_kind=name
+        )
+        assert model.index_kind == name
+        assert isinstance(model._lof._index, BruteForceKnn)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ModelError):
             resolve_backend("octree", 100)
         with pytest.raises(ModelError):
-            make_index("octree", dirichlet_points(0, 20, 3))
-        with pytest.raises(ModelError):
-            LocalOutlierFactor(k_neighbours=3, index_kind="octree")
+            ReferenceModel(k_neighbours=3, index_kind="octree")
+        with pytest.raises(ConfigurationError):
+            MonitorConfig(knn_backend="octree")
 
 
-class TestExactEquivalence:
-    @pytest.mark.parametrize("backend", INDEXED_BACKENDS)
+class TestExactness:
+    @pytest.mark.parametrize("k_case", K_CASES)
     @pytest.mark.parametrize("dim", [1, 3, 8])
-    def test_query_many_bit_identical_to_brute(self, backend, dim):
+    def test_clustered_points_match_oracle(self, dim, k_case):
         points = dirichlet_points(11, 300, dim)
         queries = np.vstack([points[:20], dirichlet_points(77, 25, dim)])
-        brute = BruteForceKnn(points)
-        index = make_index(backend, points)
-        for k in (1, 5, len(points) - 1, len(points)):
-            assert_bit_identical(
-                index.query_many(queries, k), brute.query_many(queries, k)
-            )
+        assert_matches_oracle(points, queries, k_for(k_case, len(points)))
 
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_batched_matches_single_queries(self, backend):
+    def test_equal_distances_break_ties_by_ascending_index(self):
+        # Every point identical: all distances tie, so the k nearest must be
+        # exactly the k lowest point indices.
+        points = np.tile(np.array([[0.25, 0.25, 0.5]]), (40, 1))
+        index = BruteForceKnn(points)
+        for k in (1, 7, 40):
+            _, indices = index.query(np.array([0.25, 0.25, 0.5]), k)
+            assert indices.tolist() == list(range(k))
+
+    @pytest.mark.parametrize("k_case", K_CASES)
+    def test_duplicate_points_match_oracle(self, k_case):
+        rng = np.random.default_rng(21)
+        base = dirichlet_points(21, 30, 4)
+        # Triplicate every point and shuffle, so ties straddle the k-th
+        # position in every row.
+        points = np.vstack([base, base, base])[rng.permutation(90)]
+        queries = np.vstack([base[:10], dirichlet_points(22, 5, 4)])
+        assert_matches_oracle(points, queries, k_for(k_case, len(points)))
+
+    @pytest.mark.parametrize("k_case", K_CASES)
+    def test_near_coincident_points_match_oracle(self, k_case):
+        rng = np.random.default_rng(23)
+        base = dirichlet_points(23, 20, 5)
+        jittered = base[rng.integers(0, 20, size=60)]
+        jittered = jittered + rng.choice([-1e-16, 0.0, 1e-16], size=jittered.shape)
+        points = np.vstack([base, jittered])
+        queries = np.vstack([base[:8], jittered[:8], base[:4] + 1e-16])
+        assert_matches_oracle(points, queries, k_for(k_case, len(points)))
+
+    def test_negative_squared_values_clamp_to_zero(self):
+        # Near-coincident pairs cancel in the expansion and can come out
+        # below zero; such a distance is exactly 0.0, never NaN.
+        rng = np.random.default_rng(0)
+        points = rng.dirichlet(np.ones(12), size=200)
+        queries = points + rng.normal(scale=1e-16, size=points.shape)
+        negative = raw_squared(points, queries) < 0
+        assert negative.any()
+        rows = np.flatnonzero(negative.any(axis=1))[:10]
+        distances, indices = BruteForceKnn(points).query_many(queries[rows], 3)
+        assert np.all(np.isfinite(distances))
+        for row, query_row in enumerate(rows):
+            for column in np.flatnonzero(negative[query_row]):
+                if column in indices[row]:
+                    assert distances[row][indices[row] == column][0] == 0.0
+        for k in (1, 3, 199, 200):
+            assert_matches_oracle(points, queries[rows], k)
+
+    def test_distinct_squared_values_sharing_one_sqrt(self):
+        # From the origin the squared distances are 1 + 2**-52 (index 0) and
+        # exactly 1 (index 1).  Both round to distance 1.0, so the tie must
+        # go to index 0 although index 1 has the smaller squared value.
+        points = np.array([[1.0, 1.5e-8], [1.0, 0.0], [2.0, 0.0], [1.0, 1.5e-8]])
+        origin = np.zeros((1, 2))
+        squared = raw_squared(points, origin)[0]
+        assert squared[0] != squared[1] and np.sqrt(squared[0]) == np.sqrt(squared[1])
+        distances, indices = BruteForceKnn(points).query(origin[0], 1)
+        assert indices.tolist() == [0] and distances.tolist() == [1.0]
+        for k in k_values(len(points)):
+            assert_matches_oracle(points, origin, k)
+
+    def test_tie_band_covers_every_shared_sqrt(self):
+        # Every squared value whose sqrt equals the k-th distance lies in
+        # the band the kernel checks, at any magnitude (subnormals included).
+        rng = np.random.default_rng(3)
+        values = np.concatenate([
+            10.0 ** rng.uniform(-300, 10, size=2000),
+            rng.uniform(0, 1, size=500) * 5e-324 * 1000,
+            [0.0, 1.0, 4.0, 2.0 - 2.0**-52],
+        ])
+        for value in values:
+            distance = np.sqrt(value)
+            low = high = value
+            while low > 0 and np.sqrt(np.nextafter(low, -np.inf)) == distance:
+                low = np.nextafter(low, -np.inf)
+            while np.sqrt(np.nextafter(high, np.inf)) == distance:
+                high = np.nextafter(high, np.inf)
+            assert high <= low + _TIE_BAND_ULPS * np.spacing(low), value
+
+    def test_constant_column_degenerate_dims(self):
+        rng = np.random.default_rng(31)
+        points = np.zeros((80, 3))
+        points[:, 0] = rng.uniform(size=80)
+        points[:, 2] = 1.0 - points[:, 0]
+        queries = points[:6] + rng.normal(scale=1e-3, size=(6, 3))
+        assert_matches_oracle(points, queries, 10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        dim=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=2, max_value=70),
+        k_choice=st.sampled_from(K_CASES),
+        rounded=st.booleans(),
+    )
+    def test_random_instances_match_oracle(self, seed, dim, n, k_choice, rounded):
+        points = dirichlet_points(seed, n, dim)
+        queries = np.vstack([points[: min(4, n)], dirichlet_points(seed + 1, 4, dim)])
+        if rounded:
+            # Coarse grids make exact and near ties common.
+            points, queries = np.round(points, 1), np.round(queries, 1)
+        assert_matches_oracle(points, queries, k_for(k_choice, n))
+
+    def test_query_sets_spanning_several_blocks(self, monkeypatch):
+        points = dirichlet_points(5, 120, 6)
+        queries = np.vstack([dirichlet_points(6, 17, 6), points[:6], points[:6]])
+        # Three query rows per distance block.
+        monkeypatch.setattr(BruteForceKnn, "_BLOCK_ELEMENTS", 3 * len(points))
+        index = BruteForceKnn(points)
+        for k in (1, 7, 120):
+            distances, indices = index.query_many(queries, k)
+            for row, query in enumerate(queries):
+                solo_d, solo_i = index.query(query, k)
+                np.testing.assert_array_equal(indices[row], solo_i)
+                np.testing.assert_array_equal(distances[row], solo_d)
+            assert_matches_oracle(points, queries, k)
+
+    def test_batched_matches_single_queries(self):
         points = dirichlet_points(5, 120, 6)
         queries = dirichlet_points(6, 9, 6)
-        index = make_index(backend, points)
+        index = BruteForceKnn(points)
         distances, indices = index.query_many(queries, k=7)
         for row, query in enumerate(queries):
             solo_d, solo_i = index.query(query, k=7)
             np.testing.assert_array_equal(indices[row], solo_i)
             np.testing.assert_array_equal(distances[row], solo_d)
 
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_equal_distances_break_ties_by_ascending_index(self, backend):
-        # Every point identical: all candidate distances tie, so the k
-        # nearest must be exactly the k lowest point indices.
-        points = np.tile(np.array([[0.25, 0.25, 0.5]]), (40, 1))
-        index = make_index(backend, points)
-        for k in (1, 7, 40):
-            _, indices = index.query(np.array([0.25, 0.25, 0.5]), k)
-            assert indices.tolist() == list(range(k))
-
-    @pytest.mark.parametrize("backend", INDEXED_BACKENDS)
-    def test_duplicate_points_match_brute(self, backend):
-        rng = np.random.default_rng(21)
-        base = dirichlet_points(21, 30, 4)
-        # Triplicate every point and shuffle, so ties cross block/cell
-        # boundaries in the indexed backends.
-        points = np.vstack([base, base, base])[rng.permutation(90)]
-        queries = np.vstack([base[:10], dirichlet_points(22, 5, 4)])
-        brute = BruteForceKnn(points)
-        index = make_index(backend, points)
-        for k in (1, 4, 89, 90):
-            assert_bit_identical(
-                index.query_many(queries, k), brute.query_many(queries, k)
-            )
-
-    @pytest.mark.parametrize("backend", INDEXED_BACKENDS)
-    def test_constant_column_degenerate_dims(self, backend):
-        # A pmf dimension that never varies (event type with constant share)
-        # gives the index zero spread on that axis.
-        rng = np.random.default_rng(31)
-        points = np.zeros((80, 3))
-        points[:, 0] = rng.uniform(size=80)
-        points[:, 2] = 1.0 - points[:, 0]
-        queries = points[:6] + rng.normal(scale=1e-3, size=(6, 3))
-        assert_bit_identical(
-            make_index(backend, points).query_many(queries, 10),
-            BruteForceKnn(points).query_many(queries, 10),
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        dim=st.integers(min_value=1, max_value=6),
-        n=st.integers(min_value=12, max_value=70),
-        k_choice=st.sampled_from(["one", "middle", "n_minus_1", "n"]),
-        backend=st.sampled_from(INDEXED_BACKENDS),
-    )
-    def test_random_instances_match_brute(self, seed, dim, n, k_choice, backend):
-        points = dirichlet_points(seed, n, dim)
-        queries = np.vstack([points[: min(4, n)], dirichlet_points(seed + 1, 4, dim)])
-        k = {"one": 1, "middle": max(1, n // 3), "n_minus_1": n - 1, "n": n}[k_choice]
-        assert_bit_identical(
-            make_index(backend, points).query_many(queries, k),
-            BruteForceKnn(points).query_many(queries, k),
-        )
-
 
 class TestAddPoints:
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_incremental_equals_from_scratch(self, backend):
+    def test_incremental_equals_from_scratch(self):
         full = dirichlet_points(41, 240, 5)
         queries = dirichlet_points(42, 12, 5)
-        index = make_index(backend, full[:100])
+        index = BruteForceKnn(full[:100])
         for start in range(100, 240, 35):
             index.add_points(full[start : start + 35])
         assert index.n_points == 240
-        rebuilt = make_index(backend, full)
-        assert_bit_identical(
-            index.query_many(queries, 9), rebuilt.query_many(queries, 9)
-        )
+        rebuilt = BruteForceKnn(full)
+        for k in (1, 9, 240):
+            grown_d, grown_i = index.query_many(queries, k)
+            rebuilt_d, rebuilt_i = rebuilt.query_many(queries, k)
+            np.testing.assert_array_equal(grown_i, rebuilt_i)
+            np.testing.assert_array_equal(grown_d, rebuilt_d)
+            assert_matches_oracle(full, queries, k)
 
-    def test_balltree_tail_rebuild_keeps_equivalence(self):
-        # Grow the tail far past the rebuild fraction so the absorbed tail
-        # is folded back into the tree at least once.
-        full = dirichlet_points(43, 400, 4)
-        queries = dirichlet_points(44, 8, 4)
-        index = BallTreeKnn(full[:80], leaf_size=16)
-        for start in range(80, 400, 20):
-            index.add_points(full[start : start + 20])
-        assert_bit_identical(
-            index.query_many(queries, 11),
-            BruteForceKnn(full).query_many(queries, 11),
-        )
-
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_add_points_validation(self, backend):
-        index = make_index(backend, dirichlet_points(45, 50, 3))
+    def test_add_points_validation(self):
+        index = BruteForceKnn(dirichlet_points(45, 50, 3))
         with pytest.raises(ModelError):
             index.add_points(np.zeros((2, 5)))  # wrong dimension
         with pytest.raises(ModelError):
@@ -218,47 +278,31 @@ class TestAddPoints:
 
 
 class TestPickleRoundTrip:
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_fitted_index_survives_pickle(self, backend):
+    def test_fitted_index_survives_pickle(self):
         points = dirichlet_points(51, 150, 4)
         queries = dirichlet_points(52, 10, 4)
-        index = make_index(backend, points)
+        index = BruteForceKnn(points)
         index.add_points(dirichlet_points(53, 30, 4))
         clone = pickle.loads(pickle.dumps(index))
         assert clone.n_points == index.n_points
-        assert_bit_identical(
-            clone.query_many(queries, 8), index.query_many(queries, 8)
-        )
+        for got, want in zip(clone.query_many(queries, 8), index.query_many(queries, 8)):
+            np.testing.assert_array_equal(got, want)
         # The clone must keep absorbing points, same as the original.
         extra = dirichlet_points(54, 15, 4)
         index.add_points(extra)
         clone.add_points(extra)
-        assert_bit_identical(
-            clone.query_many(queries, 8), index.query_many(queries, 8)
-        )
+        for got, want in zip(clone.query_many(queries, 8), index.query_many(queries, 8)):
+            np.testing.assert_array_equal(got, want)
 
 
-class TestLofAcrossBackends:
-    @pytest.mark.parametrize("backend", INDEXED_BACKENDS)
-    def test_scores_bit_identical_to_brute(self, backend):
-        points = dirichlet_points(61, 260, 6)
-        queries = dirichlet_points(62, 30, 6)
-        brute = LocalOutlierFactor(k_neighbours=12, index_kind="brute").fit(points)
-        other = LocalOutlierFactor(k_neighbours=12, index_kind=backend).fit(points)
-        assert other.resolved_index_kind == backend
-        np.testing.assert_array_equal(other.training_scores, brute.training_scores)
-        np.testing.assert_array_equal(
-            other.score_many(queries), brute.score_many(queries)
-        )
-
-    @pytest.mark.parametrize("backend", KNN_BACKENDS)
-    def test_partial_fit_equals_fit_on_combined(self, backend):
+class TestLof:
+    def test_partial_fit_equals_fit_on_combined(self):
         full = dirichlet_points(63, 200, 5)
         queries = dirichlet_points(64, 20, 5)
-        grown = LocalOutlierFactor(k_neighbours=10, index_kind=backend).fit(full[:120])
+        grown = LocalOutlierFactor(k_neighbours=10).fit(full[:120])
         grown.partial_fit(full[120:160])
         grown.partial_fit(full[160:])
-        fresh = LocalOutlierFactor(k_neighbours=10, index_kind=backend).fit(full)
+        fresh = LocalOutlierFactor(k_neighbours=10).fit(full)
         assert grown.n_reference_points == fresh.n_reference_points
         np.testing.assert_array_equal(grown.training_scores, fresh.training_scores)
         np.testing.assert_array_equal(
@@ -270,14 +314,9 @@ class TestLofAcrossBackends:
         with pytest.raises(Exception):
             lof.partial_fit(dirichlet_points(65, 10, 3))
 
-    def test_auto_resolves_to_brute_for_small_references(self):
-        points = dirichlet_points(66, 100, 4)
-        lof = LocalOutlierFactor(k_neighbours=8, index_kind="auto").fit(points)
-        assert lof.resolved_index_kind == "brute"
-
 
 # --------------------------------------------------------------------------- #
-# Monitor-level equivalence: decisions, reports and recorded bytes
+# Monitor-level: configs naming a retired backend change nothing
 # --------------------------------------------------------------------------- #
 
 WINDOW_US = 40_000
@@ -328,8 +367,8 @@ def monitor_with_backend(backend, monitor_registry, reference_windows, monitored
     return model, monitor.monitor_windows(iter(monitored_streams[label]), model)
 
 
-class TestMonitorBackendEquivalence:
-    @pytest.mark.parametrize("backend", INDEXED_BACKENDS + ("auto",))
+class TestRetiredBackendConfigs:
+    @pytest.mark.parametrize("backend", RETIRED_BACKENDS)
     def test_decisions_and_reports_match_brute(
         self, backend, monitor_registry, reference_windows, monitored_streams
     ):
@@ -347,12 +386,9 @@ class TestMonitorBackendEquivalence:
         assert result.detector_stats == brute_result.detector_stats
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_fleet_output_files_identical_across_backends(
+    def test_fleet_output_files_identical_across_backend_names(
         self, workers, tmp_path, monitor_registry, reference_windows, monitored_streams
     ):
-        reference_model = ReferenceModel(k_neighbours=K).learn(
-            iter(reference_windows), EventTypeRegistry(monitor_registry.names)
-        )
         outputs = {}
         for backend in ("brute", "balltree"):
             config = MonitorConfig(
@@ -384,10 +420,8 @@ class TestMonitorBackendEquivalence:
         for name in outputs["brute"][1]:
             assert outputs["balltree"][1][name] == outputs["brute"][1][name], name
 
-    def test_model_survives_worker_pickle_with_indexed_backend(
-        self, monitor_registry, reference_windows
-    ):
-        model = ReferenceModel(k_neighbours=K, index_kind="balltree").learn(
+    def test_model_survives_worker_pickle(self, monitor_registry, reference_windows):
+        model = ReferenceModel(k_neighbours=K).learn(
             iter(reference_windows), EventTypeRegistry(monitor_registry.names)
         )
         clone = pickle.loads(pickle.dumps(model))
@@ -411,18 +445,13 @@ class TestModelAdaptation:
         assert model.n_reference_windows > n_before
         assert len(model.points) >= n_before
 
-    @pytest.mark.parametrize("backend", ["brute", "balltree"])
-    def test_adapt_scores_equal_fit_on_combined(
-        self, backend, monitor_registry, reference_windows
-    ):
+    def test_adapt_scores_equal_fit_on_combined(self, monitor_registry, reference_windows):
         registry = EventTypeRegistry(monitor_registry.names)
-        adapted = ReferenceModel(k_neighbours=K, index_kind=backend).learn(
+        adapted = ReferenceModel(k_neighbours=K).learn(
             iter(reference_windows[:300]), registry
         )
         adapted.adapt(iter(reference_windows[300:]), registry)
-        fresh = ReferenceModel(k_neighbours=K, index_kind=backend).learn(
-            iter(reference_windows), registry
-        )
+        fresh = ReferenceModel(k_neighbours=K).learn(iter(reference_windows), registry)
         np.testing.assert_array_equal(
             np.sort(adapted.points, axis=0), np.sort(fresh.points, axis=0)
         )
@@ -435,12 +464,3 @@ class TestModelAdaptation:
         model = ReferenceModel(k_neighbours=K)
         with pytest.raises(Exception):
             model.adapt(iter(reference_windows[:50]), monitor_registry)
-
-    def test_reindex_preserves_scores(self, monitor_registry, reference_windows):
-        registry = EventTypeRegistry(monitor_registry.names)
-        model = ReferenceModel(k_neighbours=K).learn(iter(reference_windows), registry)
-        queries = model.points[:15]
-        before = model.score_vectors(queries)
-        model.reindex("grid")
-        np.testing.assert_array_equal(model.score_vectors(queries), before)
-        assert model.index_kind == "grid"

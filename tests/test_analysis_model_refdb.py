@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
 from repro.trace.window import TraceWindow
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def make_reference_windows(mix, seed=0, duration_s=4.0, rate=2_000.0):
     generator = SyntheticTraceGenerator(mix, rate_per_s=rate, seed=seed)
@@ -24,6 +29,20 @@ def make_reference_windows(mix, seed=0, duration_s=4.0, rate=2_000.0):
 def learned_model(normal_mix, registry):
     windows = make_reference_windows(normal_mix)
     return ReferenceModel(k_neighbours=10).learn(windows, registry), windows
+
+
+_PAYLOAD_CALLS: list[str] = []
+
+
+def _record_payload_call(tag: str) -> None:
+    _PAYLOAD_CALLS.append(tag)
+
+
+class _CallingPayload:
+    """Unpickles by calling a function, as a crafted model file would."""
+
+    def __reduce__(self):
+        return (_record_payload_call, ("ran",))
 
 
 class TestLearning:
@@ -135,13 +154,12 @@ class TestPersistence:
             ReferenceModel().save(tmp_path / "model.npz")
 
     def test_saved_index_restores_without_refit(self, normal_mix, registry, tmp_path):
-        model = ReferenceModel(k_neighbours=10, index_kind="balltree").learn(
+        model = ReferenceModel(k_neighbours=10).learn(
             make_reference_windows(normal_mix), registry
         )
         loaded = ReferenceModel.load(model.save(tmp_path / "model.npz"))
-        # The fitted index travels inside the archive: the loaded model keeps
-        # the balltree backend and scores bit-identically, no refit involved.
-        assert loaded.index_kind == "balltree"
+        # The fitted index travels inside the archive: the loaded model
+        # scores bit-identically, no refit involved.
         queries = model.points[:20]
         np.testing.assert_array_equal(
             loaded.score_vectors(queries), model.score_vectors(queries)
@@ -168,6 +186,44 @@ class TestPersistence:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ModelError):
             ReferenceModel.load(path)
+
+    def test_payload_naming_a_callable_rejected_before_it_runs(
+        self, learned_model, tmp_path
+    ):
+        blob = pickle.dumps(_CallingPayload())
+        pickle.loads(blob)
+        assert _PAYLOAD_CALLS == ["ran"]  # a plain unpickle would run it
+        _PAYLOAD_CALLS.clear()
+        model, _ = learned_model
+        path = model.save(tmp_path / "model.npz")
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["lof_state"] = np.frombuffer(blob, dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ModelError, match="malformed fitted-index payload"):
+            ReferenceModel.load(path)
+        assert _PAYLOAD_CALLS == []
+
+    def test_model_with_retired_tree_index_loads_by_refit(self):
+        # Written by ReferenceModel.save at commit 125e885 with
+        # index_kind="balltree": the pickled LOF holds a BallTreeKnn, a
+        # class this version no longer has.  Loading refits the one exact
+        # search from the stored points, which scores like a fresh model.
+        loaded = ReferenceModel.load(FIXTURES / "model_with_balltree_index.npz")
+        assert loaded.index_kind == "balltree"
+        fresh = ReferenceModel.from_points(
+            loaded.points, loaded.type_names, k_neighbours=loaded.k_neighbours
+        )
+        queries = np.vstack([
+            loaded.points[::7],
+            np.random.default_rng(5).dirichlet(np.ones(loaded.dimension), size=20),
+        ])
+        np.testing.assert_array_equal(
+            loaded.score_vectors(queries), fresh.score_vectors(queries)
+        )
+        np.testing.assert_array_equal(
+            loaded.training_scores(), fresh.training_scores()
+        )
 
     def test_fingerprint_tracks_identity(self, learned_model, registry):
         model, _ = learned_model

@@ -327,72 +327,14 @@ class TestIngestFlags:
         err = capsys.readouterr().err
         assert "empty trace file" in err and str(empty) in err
 
-    def test_monitor_knn_backends_identical(self, trace_file, tmp_path, capsys):
-        # Any --knn-backend choice must change only the speed profile: the
-        # JSON report and recorded bytes are bit-identical across backends.
-        outputs = {}
-        for backend in ("brute", "kdtree", "grid", "balltree", "auto"):
-            recorded = tmp_path / f"{backend}.jsonl"
-            payload = self._monitor(
-                trace_file, capsys,
-                "--knn-backend", backend, "--output", str(recorded),
-            )
-            outputs[backend] = (payload, recorded.read_bytes())
-        default = self._monitor(trace_file, capsys)
-        for backend, (payload, recorded_bytes) in outputs.items():
-            assert payload == outputs["brute"][0], backend
-            assert recorded_bytes == outputs["brute"][1], backend
-        assert default == outputs["brute"][0]
-
-    def test_learn_with_knn_backend_then_monitor(self, trace_file, tmp_path, capsys):
-        model_path = tmp_path / "model.npz"
-        assert main([
-            "learn", str(trace_file), "--model", str(model_path),
-            "--k", "10", "--knn-backend", "balltree",
-        ]) == 0
-        capsys.readouterr()
-        baseline = self._monitor(trace_file, capsys, "--model", str(model_path))
-        reindexed = self._monitor(
-            trace_file, capsys,
-            "--model", str(model_path), "--knn-backend", "grid",
-        )
-        assert reindexed == baseline
-
-    def test_invalid_knn_backend_rejected(self, trace_file):
+    @pytest.mark.parametrize("command", ["learn", "monitor", "fleet"])
+    def test_knn_backend_flag_is_gone(self, command, trace_file):
+        # One exact k-NN search remains, so there is no backend to choose.
+        extra = ["--model", "m"] if command == "learn" else []
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["monitor", str(trace_file), "--knn-backend", "octree"]
+                [command, str(trace_file), *extra, "--knn-backend", "brute"]
             )
-
-    def test_fleet_knn_backends_identical(
-        self, tmp_path, normal_mix, anomaly_mix, capsys
-    ):
-        paths = []
-        for position in range(2):
-            generator = PeriodicTraceGenerator(
-                normal_mix,
-                anomaly_mix,
-                anomaly_intervals=[(6.0, 8.0)],
-                rate_per_s=2_000,
-                seed=71 + position,
-            )
-            path = tmp_path / f"shard{position}.jsonl"
-            write_trace(generator.events(12.0), path)
-            paths.append(str(path))
-        base = ["--json", "fleet", *paths, "--reference-s", "4", "--k", "10"]
-        payloads = {}
-        for backend in ("brute", "balltree"):
-            output_dir = tmp_path / backend
-            assert main(
-                base + ["--knn-backend", backend, "--output-dir", str(output_dir)]
-            ) == 0
-            payloads[backend] = json.loads(capsys.readouterr().out)
-            for shard in ("shard0", "shard1"):
-                bytes_here = (output_dir / f"{shard}.jsonl").read_bytes()
-                if backend == "brute":
-                    continue
-                assert bytes_here == (tmp_path / "brute" / f"{shard}.jsonl").read_bytes()
-        assert payloads["balltree"] == payloads["brute"]
 
     def test_fleet_ingest_modes_identical(
         self, tmp_path, normal_mix, anomaly_mix, capsys

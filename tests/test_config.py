@@ -50,6 +50,7 @@ class TestValidation:
             {"window_event_capacity": 0},
             {"reference_duration_us": 0},
             {"record_context_windows": -1},
+            {"knn_backend": "octree"},
         ],
     )
     def test_monitor_rejects_bad_values(self, kwargs):
@@ -172,6 +173,13 @@ class TestSerialization:
             ),
         )
         assert load_config(path) == expected
+
+    @pytest.mark.parametrize("backend", ["auto", "brute", "kdtree", "grid", "balltree"])
+    def test_config_naming_a_retired_knn_backend_loads(self, backend):
+        # Every name older files carry still loads; each one selects the one
+        # exact k-NN search.
+        config = config_from_dict({"monitor": {"knn_backend": backend}})
+        assert config.monitor.knn_backend == backend
 
     def test_retired_key_is_not_a_field(self):
         assert "max_active_shards" not in {

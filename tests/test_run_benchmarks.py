@@ -65,11 +65,10 @@ def test_isolate_overhead_bound(run_benchmarks):
     assert failures == ["isolate: isolate/abort wall 1.12x exceeds 1.05x"]
 
 
-#: The five floors Tier-1 records but only the archived run asserts:
+#: The four floors Tier-1 records but only the archived run asserts:
 #: (bench, ratio, bound keyword, bound, a value that misses it).
 RECORDED_FLOORS = [
     ("test_batched_throughput_speedup", "batched/per-window windows/s", "minimum", 3.0, 2.9),
-    ("test_knn_query_throughput", "balltree/brute queries/s at n=65536", "minimum", 2.0, 1.69),
     ("test_fleet_throughput_speedup", "fleet/sequential windows/s", "minimum", 1.5, 1.03),
     ("test_columnar_ingest_speedup", "columnar/object windows/s (binary)", "minimum", 2.0, 1.9),
     ("test_streaming_ingest_overhead", "one-shot/streaming windows/s (binary)", "maximum", 2.5, 2.6),

@@ -41,7 +41,7 @@ from repro.trace.columns import (
 )
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.pipeline import prefetch_batches
-from repro.trace.reader import read_trace
+from repro.trace.reader import read_trace, read_trace_columns
 from repro.trace.stream import (
     column_windows_by_count,
     column_windows_by_duration,
@@ -492,6 +492,13 @@ def oracle_json_decode(text, on_corrupt="raise", hint=""):
             raise TraceFormatError(
                 f"negative timestamp at line {line_no}: {timestamp}"
             )
+        if timestamp >= 2**63 or not -(2**63) <= core < 2**63:
+            if on_corrupt == "skip":
+                corrupt.append(line_no)
+                continue
+            raise TraceFormatError(
+                f"event field outside the int64 range at line {line_no}: {record!r}"
+            )
         if etype not in names:
             names.append(etype)
         task_length = len(task.encode("utf-8"))
@@ -552,6 +559,11 @@ ADVERSARIAL = {
     "nan_timestamp": ['{"t":NaN,"type":"a"}'],
     "infinite_timestamp": ['{"t":Infinity,"type":"a"}'],
     "infinite_core": ['{"t":6,"type":"a","core":Infinity}'],
+    "int64_overflow_timestamp": [f'{{"t":{2**63},"type":"a"}}'],
+    "int64_max_timestamp": [f'{{"t":{2**63 - 1},"type":"a"}}'],
+    "int64_overflow_core": [f'{{"t":6,"type":"a","core":{2**63}}}'],
+    "int64_underflow_core": [f'{{"t":6,"type":"a","core":{-(2**63) - 1}}}'],
+    "int64_min_core": [f'{{"t":6,"type":"a","core":{-(2**63)}}}'],
     "array_value": ["[1, 2]"],
     "string_value": ['"text"'],
     "number_value": ["42"],
@@ -634,6 +646,30 @@ def test_object_reader_rejects_infinite_fields(tmp_path, name):
     path.write_text(adversarial_text(name), encoding="utf-8")
     with pytest.raises(TraceFormatError, match="malformed event record"):
         read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["int64_overflow_timestamp", "int64_overflow_core", "int64_underflow_core"],
+)
+def test_object_reader_rejects_int64_overflow(tmp_path, name):
+    """A timestamp or core outside int64 is rejected by the object reader as
+    it is by the columnar decoders, not carried as a Python int."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(adversarial_text(name), encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="outside the int64 range"):
+        read_trace(path)
+    with pytest.raises(TraceFormatError, match="outside the int64 range at line 3"):
+        read_trace_columns(path)
+
+
+def test_skip_mode_quarantines_int64_overflow_and_keeps_later_records():
+    data = adversarial_text("int64_overflow_timestamp").encode("utf-8")
+    decoder = JsonColumnsDecoder(on_corrupt="skip")
+    parts = [decoder.feed(data), decoder.finish()]
+    assert decoder.corrupt_offsets == (3,)
+    timestamps = np.concatenate([part.timestamps_us for part in parts])
+    assert timestamps.tolist() == [0, 5, 90]
 
 
 # ---------------------------------------------------------------------- #
