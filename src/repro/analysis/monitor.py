@@ -11,7 +11,6 @@ and the model, i.e. everything the evaluation layer needs.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,17 +20,10 @@ from ..config import DetectorConfig, MonitorConfig
 from ..errors import ModelError
 from ..logging_util import get_logger
 from ..trace.batch import WindowBatch, batch_windows
-from ..trace.codec import encoded_trace_size
 from ..trace.columns import TraceColumns
 from ..trace.event import EventTypeRegistry, TraceEvent
 from ..trace.pipeline import prefetch_batches as _prefetch_batches
-from ..trace.stream import (
-    ColumnarWindowSource,
-    TraceStream,
-    batches_from_layout,
-    column_windows_by_duration,
-    reference_batch,
-)
+from ..trace.stream import ColumnarWindowSource, TraceStream
 from ..trace.streaming import StreamRecipe, StreamingWindowSource, StreamStats
 from ..trace.window import TraceWindow
 from .detector import OnlineAnomalyDetector, WindowDecision
@@ -66,18 +58,22 @@ def build_shard_pipeline(
     model: ReferenceModel,
     detector_config: DetectorConfig,
     monitor_config: MonitorConfig,
-    registry_names: Iterable[str],
+    registry: EventTypeRegistry | Iterable[str],
     output_path: str | Path | None = None,
     keep_events: bool = False,
 ) -> tuple[EventTypeRegistry, OnlineAnomalyDetector, SelectiveTraceRecorder]:
-    """Build one shard's scoring pipeline: cloned registry, detector, recorder.
+    """Build one scoring pipeline: registry, detector, recorder.
 
-    Single definition used by the fleet's one per-shard body
-    (:func:`~repro.analysis.parallel._run_shard`) for either executor: the
-    fleet advertises results bit-identical to single-stream runs, so the
-    objects it scores with must be constructed in exactly one place.
+    Single definition used by :class:`TraceMonitor` and by the fleet's one
+    per-shard body (:func:`~repro.analysis.parallel._run_shard`) for either
+    executor: the fleet advertises results bit-identical to single-stream
+    runs, so the objects it scores with must be constructed in exactly one
+    place.  An :class:`EventTypeRegistry` is used as is (the monitor's own,
+    which grows with the stream); type names are cloned into a fresh
+    registry (a fleet shard's).
     """
-    registry = EventTypeRegistry(tuple(registry_names))
+    if not isinstance(registry, EventTypeRegistry):
+        registry = EventTypeRegistry(tuple(registry))
     detector = OnlineAnomalyDetector(model, detector_config, registry)
     recorder = SelectiveTraceRecorder(
         context_windows=monitor_config.record_context_windows,
@@ -193,8 +189,8 @@ class MonitorResult:
     detector_stats:
         Counters from the detector (windows merged, LOF computations, ...).
     stream_stats:
-        Ingest accounting of the streaming source (chunk/window counters,
-        corrupt-record quarantine tallies); ``None`` for one-shot runs.
+        Ingest accounting of the columnar source (chunk/window counters,
+        corrupt-record quarantine tallies); ``None`` for object-path runs.
     """
 
     decisions: list[WindowDecision]
@@ -308,17 +304,6 @@ class TraceMonitor:
     # ------------------------------------------------------------------ #
     # Monitoring
     # ------------------------------------------------------------------ #
-    def _make_recorder(
-        self, output_path: str | Path | None, keep_events: bool
-    ) -> SelectiveTraceRecorder:
-        return SelectiveTraceRecorder(
-            context_windows=self.monitor_config.record_context_windows,
-            output_path=output_path,
-            keep_events=keep_events,
-            io_buffer_bytes=self.monitor_config.io_buffer_bytes,
-            recording_format=self.monitor_config.recording_format,
-        )
-
     def monitor_windows(
         self,
         windows: Iterable[TraceWindow],
@@ -327,38 +312,21 @@ class TraceMonitor:
         keep_events: bool = False,
         reference_window_count: int = 0,
     ) -> MonitorResult:
-        """Monitor an already-windowed stream against a learned model."""
-        batch_size = self.monitor_config.batch_size
-        if batch_size > 1:
-            # Vectorized plane: score a columnar micro-batch at a time, then
-            # hand the whole batch to the recorder so the codec and file
-            # writes are amortised across windows.
-            return self.monitor_batches(
-                batch_windows(windows, self.registry, batch_size),
-                model,
-                output_path=output_path,
-                keep_events=keep_events,
-                reference_window_count=reference_window_count,
-            )
-        detector = OnlineAnomalyDetector(model, self.detector_config, self.registry)
-        recorder = self._make_recorder(output_path, keep_events)
-        decisions: list[WindowDecision] = []
+        """Monitor an already-windowed stream against a learned model.
 
-        def record(window: TraceWindow, decision: WindowDecision) -> None:
-            window_bytes = encoded_trace_size(window.events)
-            decision = dataclasses.replace(decision, window_bytes=window_bytes)
-            decisions.append(decision)
-            recorder.observe(
-                window, record=decision.anomalous, window_bytes=window_bytes
-            )
-
-        try:
-            for window in windows:
-                record(window, detector.process(window))
-        finally:
-            recorder.close()
-        return self._finish(
-            decisions, recorder, detector, model, reference_window_count
+        Windows are scored as columnar micro-batches of
+        ``monitor_config.batch_size`` — a batch of one is still a batch —
+        so the codec and file writes are amortised across windows.  The
+        per-window :meth:`~repro.analysis.detector.OnlineAnomalyDetector.process`
+        remains the paper-faithful oracle the equivalence suites compare
+        against.
+        """
+        return self.monitor_batches(
+            batch_windows(windows, self.registry, self.monitor_config.batch_size),
+            model,
+            output_path=output_path,
+            keep_events=keep_events,
+            reference_window_count=reference_window_count,
         )
 
     def monitor_batches(
@@ -379,8 +347,14 @@ class TraceMonitor:
         results bit-identical to :meth:`monitor_windows` over the same
         windows.
         """
-        detector = OnlineAnomalyDetector(model, self.detector_config, self.registry)
-        recorder = self._make_recorder(output_path, keep_events)
+        _, detector, recorder = build_shard_pipeline(
+            model,
+            self.detector_config,
+            self.monitor_config,
+            self.registry,
+            output_path=output_path,
+            keep_events=keep_events,
+        )
         decisions: list[WindowDecision] = []
         try:
             for batch in batches:
@@ -472,50 +446,20 @@ class TraceMonitor:
     ) -> MonitorResult:
         """Learn (if needed) and monitor a columnar trace.
 
-        The columnar mirror of :meth:`run_on_stream`: windows are cut
+        The columnar mirror of :meth:`run_on_stream`: the trace is one
+        chunk of a :class:`~repro.trace.streaming.StreamingWindowSource`
+        monitored by :meth:`run_streaming`, so windows are cut
         array-natively, batches carry lazy windows and precomputed byte
-        sizes, and — when ``model`` is ``None`` — the reference prefix is
-        learned from one columnar batch, so no window object is
-        materialised.  Results are bit-identical to the object
-        path over the same trace.
-
-        ``prefetch_batches > 0`` overlaps batch construction with scoring
-        through a bounded producer/consumer hand-off
-        (:func:`~repro.trace.pipeline.prefetch_batches`); decisions and
-        recordings are unaffected.
+        sizes, and the reference prefix is learned from one columnar
+        batch.  Results are bit-identical to the object path over the
+        same trace.
         """
-        _check_prefetch(prefetch_batches)
-        layout = column_windows_by_duration(
-            columns, self.monitor_config.window_duration_us
-        )
-        first_live = 0
-        reference_count = 0
-        if model is None:
-            reference, first_live = reference_batch(
-                columns,
-                layout,
-                self.registry,
-                self.monitor_config.reference_duration_us,
-            )
-            model = self.learn_reference(reference)
-            reference_count = first_live
-        elif not model.is_fitted:
-            raise ModelError("provided reference model is not fitted")
-        batches = batches_from_layout(
-            columns,
-            layout,
-            self.registry,
-            batch_size=max(self.monitor_config.batch_size, 1),
-            first_window=first_live,
-        )
-        if prefetch_batches > 0:
-            batches = _prefetch_batches(batches, prefetch_batches)
-        return self.monitor_batches(
-            batches,
-            model,
+        return self.run_streaming(
+            StreamingWindowSource(columns_chunks=[columns]),
+            model=model,
             output_path=output_path,
             keep_events=keep_events,
-            reference_window_count=reference_count,
+            prefetch_batches=prefetch_batches,
         )
 
     def run_on_file(
@@ -529,8 +473,8 @@ class TraceMonitor:
         """Columnar file-to-scores path: decode, window, batch, monitor.
 
         Reads ``path`` with :func:`~repro.trace.reader.read_trace_columns`
-        and monitors it via :meth:`run_on_columns` — the default CLI route
-        for file-fed monitoring.
+        and monitors it as a one-chunk stream via :meth:`run_on_columns` —
+        the default CLI route for file-fed monitoring.
         """
         from ..trace.reader import read_trace_columns
 
@@ -550,37 +494,46 @@ class TraceMonitor:
         keep_events: bool = False,
         prefetch_batches: int = 0,
     ) -> MonitorResult:
-        """Learn (if needed) and monitor a live streaming source.
+        """Learn (if needed) and monitor a columnar streaming source.
 
-        The streaming mirror of :meth:`run_on_columns`: chunks are pulled
-        from ``source`` on demand, windows are cut incrementally, and the
-        decisions, report and recording are **bit-identical** to a
-        one-shot read of the stream's final contents — fed in any chunking
-        whatsoever.  Memory is bounded by the batch size and queue depths,
-        never by the stream length.
+        The one columnar monitoring body: a live stream and a one-shot
+        read (a stream of one chunk, :meth:`run_on_columns`) both come
+        here.  Chunks are pulled from ``source`` on demand, windows are cut
+        incrementally, and the decisions, report and recording are
+        **bit-identical** to a one-shot read of the stream's final
+        contents — fed in any chunking whatsoever.  The ingest buffer is
+        bounded (``source.stats.peak_buffered_events`` follows the chunk
+        and batch sizes, not the stream length), but the result is not:
+        ``MonitorResult.decisions`` and ``recorded_indices`` grow with the
+        stream (ROADMAP, "Memory bounded by the batch, not the run").
 
         When ``model`` is ``None`` the stream's reference prefix
-        (``monitor_config.reference_duration_us``) is consumed and
-        materialised for learning first; if the stream ends inside the
+        (``monitor_config.reference_duration_us``) is consumed and learned
+        from one columnar batch first; if the stream ends inside the
         reference period, every window is reference and nothing is
-        monitored — exactly like the one-shot path on the same trace.
+        monitored.
+
+        ``prefetch_batches > 0`` overlaps batch construction with scoring
+        through a bounded producer/consumer hand-off
+        (:func:`~repro.trace.pipeline.prefetch_batches`); decisions and
+        recordings are unaffected.
         """
         _check_prefetch(prefetch_batches)
         window_duration = self.monitor_config.window_duration_us
+        reference_count = 0
         if model is None:
-            reference_windows = source.reference_windows(
+            reference = source.reference_batch(
+                self.registry,
                 self.monitor_config.reference_duration_us,
                 default_window_duration_us=window_duration,
             )
-            model = self.learn_reference(reference_windows)
-            reference_count = len(reference_windows)
-        else:
-            if not model.is_fitted:
-                raise ModelError("provided reference model is not fitted")
-            reference_count = 0
+            model = self.learn_reference(reference)
+            reference_count = len(reference)
+        elif not model.is_fitted:
+            raise ModelError("provided reference model is not fitted")
         batches = source.batches(
             self.registry,
-            max(self.monitor_config.batch_size, 1),
+            self.monitor_config.batch_size,
             default_window_duration_us=window_duration,
         )
         if prefetch_batches > 0:

@@ -56,11 +56,8 @@ from ..trace.columns import TraceColumns
 from ..trace.event import EventTypeRegistry
 from ..trace.reader import read_trace, read_trace_columns
 from ..trace.stats import summarize
-from ..trace.stream import (
-    TraceStream,
-    column_windows_by_duration,
-    reference_batch,
-)
+from ..trace.stream import TraceStream
+from ..trace.streaming import StreamingWindowSource
 from ..trace.writer import write_trace
 
 __all__ = ["main", "build_parser"]
@@ -377,11 +374,11 @@ def _reference_batch(
     registry: EventTypeRegistry,
 ) -> WindowBatch:
     """The reference prefix of a decoded trace, as one columnar batch."""
-    layout = column_windows_by_duration(columns, monitor_config.window_duration_us)
-    reference, _ = reference_batch(
-        columns, layout, registry, monitor_config.reference_duration_us
+    return StreamingWindowSource(columns_chunks=[columns]).reference_batch(
+        registry,
+        monitor_config.reference_duration_us,
+        default_window_duration_us=monitor_config.window_duration_us,
     )
-    return reference
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:

@@ -258,17 +258,17 @@ def run_fleet_endurance_experiment(
     reference_windows = None
     if ingest == "columnar":
         boundary = config.monitor.reference_duration_us
+        duration = config.monitor.window_duration_us
         for position, trace in enumerate(traces):
             columns = TraceColumns.from_events(trace.events)
-            layout = column_windows_by_duration(
-                columns, config.monitor.window_duration_us
-            )
             if position == 0:
                 reference_windows, first_live = reference_batch(
-                    columns, layout, registry, boundary
+                    columns, registry, boundary, duration
                 )
             else:
-                first_live = reference_window_count(layout, boundary)
+                first_live = reference_window_count(
+                    column_windows_by_duration(columns, duration), boundary
+                )
             shards[f"stream-{position:02d}"] = ColumnarWindowSource(
                 columns, first_window=first_live
             )

@@ -80,19 +80,25 @@ __all__ = [
 def varint_size_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`~repro.trace.codec._varint_size` over an array.
 
-    Exact (no floating-point log tricks): one compare-and-add per extra
-    varint byte, at most nine iterations for ``int64`` input.
+    Exact (no floating-point log tricks): one binary search per value
+    over the eight byte-count thresholds of ``int64`` input.
     """
     values = np.asarray(values, dtype=np.int64)
     if values.size and int(values.min()) < 0:
         bad = int(values[values < 0][0])
         raise TraceFormatError(f"cannot varint-encode negative value {bad}")
-    sizes = np.ones(len(values), dtype=np.int64)
-    shifted = values >> 7
-    while shifted.any():
-        sizes += shifted > 0
-        shifted >>= 7
-    return sizes
+    return _extra_varint_bytes(values) + 1
+
+
+#: The smallest value needing ``k + 2`` varint bytes, for ``k`` = 0..7.
+_VARINT_STEPS = np.array([1 << (7 * k) for k in range(1, 9)], dtype=np.int64)
+
+
+def _extra_varint_bytes(values: np.ndarray) -> np.ndarray:
+    """Varint bytes beyond the first, for non-negative ``int64`` values."""
+    return np.searchsorted(_VARINT_STEPS, values, side="right").astype(
+        np.int64, copy=False
+    )
 
 
 class TraceColumns:
@@ -1142,7 +1148,7 @@ def encoded_window_sizes_columns(
             "(valid range 0-255)"
         )
     local = offsets - lo
-    totals = np.zeros(n_span, dtype=np.int64)
+    cumulative = np.zeros(n_span + 1, dtype=np.int64)
     if n_span:
         segment = columns.timestamps_us[lo:hi]
         deltas = np.empty(n_span, dtype=np.int64)
@@ -1157,15 +1163,18 @@ def encoded_window_sizes_columns(
                 "events must be encoded in timestamp order "
                 f"({int(segment[bad])} after {int(segment[bad - 1])})"
             )
-        totals += varint_size_array(deltas)
+        totals = _extra_varint_bytes(deltas)
         totals += columns.static_sizes[lo:hi]
         if len(columns.type_names) <= 0x80:
-            # Every within-window first-appearance code fits one varint byte.
-            totals += 1
+            # The delta's first varint byte, plus the type code: every
+            # within-window first-appearance code fits one varint byte.
+            totals += 2
         else:
+            totals += 1
             totals += _window_code_sizes(columns.type_codes[lo:hi], local)
-    cumulative = np.concatenate(([0], np.cumsum(totals)))
-    return cumulative[local[1:]] - cumulative[local[:-1]]
+        np.cumsum(totals, out=cumulative[1:])
+    edges = cumulative[local]
+    return edges[1:] - edges[:-1]
 
 
 def _window_code_sizes(codes: np.ndarray, local_offsets: np.ndarray) -> np.ndarray:

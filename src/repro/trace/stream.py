@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .batch import WindowBatch, batch_windows
 from .columns import TraceColumns, encoded_window_sizes_columns
 from .event import EventTypeRegistry, TraceEvent
 from .window import TraceWindow
+
+if TYPE_CHECKING:
+    from .streaming import StreamingWindowSource
 
 __all__ = [
     "WindowPolicy",
@@ -329,11 +332,24 @@ def _check_sorted_columns(timestamps: np.ndarray) -> None:
             )
 
 
+def _layout(
+    offsets: np.ndarray, starts: np.ndarray, ends: np.ndarray, first_index: int
+) -> ColumnWindowLayout:
+    return ColumnWindowLayout(
+        event_offsets=offsets,
+        indices=np.arange(first_index, first_index + len(starts), dtype=np.int64),
+        start_us=starts,
+        end_us=ends,
+    )
+
+
 def column_windows_by_duration(
     columns: TraceColumns,
     window_duration_us: int,
     start_us: int = 0,
     emit_empty: bool = True,
+    *,
+    first_index: int = 0,
 ) -> ColumnWindowLayout:
     """Array-native mirror of :func:`windows_by_duration`.
 
@@ -341,56 +357,45 @@ def column_windows_by_duration(
     Python loop; the resulting layout describes exactly the windows the
     object path would emit (same indices, extents and event spans, the
     equivalence suite asserts it window by window).
+
+    ``first_index`` numbers the first window.  A streaming source that
+    has already cut windows passes its running window count here and the
+    start of its first open slot as ``start_us``, so the kernel continues
+    the stream where the previous call stopped.
     """
     if window_duration_us <= 0:
         raise TraceStreamError("window_duration_us must be positive")
     timestamps = columns.timestamps_us
-    n = len(timestamps)
-    if n == 0:
-        if emit_empty:
-            return ColumnWindowLayout(
-                event_offsets=np.zeros(2, dtype=np.int64),
-                indices=np.zeros(1, dtype=np.int64),
-                start_us=np.array([start_us], dtype=np.int64),
-                end_us=np.array([start_us + window_duration_us], dtype=np.int64),
+    if len(timestamps):
+        _check_sorted_columns(timestamps)
+        if int(timestamps[0]) < start_us:
+            raise TraceStreamError(
+                f"event at t={int(timestamps[0])} precedes stream start {start_us}"
             )
-        return ColumnWindowLayout(
-            event_offsets=np.zeros(1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            start_us=np.empty(0, dtype=np.int64),
-            end_us=np.empty(0, dtype=np.int64),
-        )
-    _check_sorted_columns(timestamps)
-    if int(timestamps[0]) < start_us:
-        raise TraceStreamError(
-            f"event at t={int(timestamps[0])} precedes stream start {start_us}"
-        )
-    n_slots = int((int(timestamps[-1]) - start_us) // window_duration_us) + 1
+        n_slots = int((int(timestamps[-1]) - start_us) // window_duration_us) + 1
+    else:
+        n_slots = 1 if emit_empty else 0
     bounds = start_us + window_duration_us * np.arange(n_slots + 1, dtype=np.int64)
-    offsets = np.searchsorted(timestamps, bounds, side="left")
+    offsets = np.searchsorted(timestamps, bounds, side="left").astype(np.int64)
     starts = bounds[:-1]
     ends = bounds[1:]
-    indices = np.arange(n_slots, dtype=np.int64)
     if not emit_empty:
         keep = np.flatnonzero(np.diff(offsets) > 0)
         # Dropped slots are empty (zero-length spans), so the kept spans
         # stay contiguous and the CSR offsets can simply be re-chained.
-        offsets = np.concatenate((offsets[keep], offsets[keep[-1] + 1 :][:1]))
+        offsets = np.append(offsets[keep], offsets[-1])
         starts = starts[keep]
         ends = ends[keep]
-        indices = np.arange(len(keep), dtype=np.int64)
-    return ColumnWindowLayout(
-        event_offsets=offsets.astype(np.int64),
-        indices=indices,
-        start_us=starts.astype(np.int64),
-        end_us=ends.astype(np.int64),
-    )
+    return _layout(offsets, starts, ends, first_index)
 
 
 def column_windows_by_count(
     columns: TraceColumns,
     events_per_window: int,
     start_us: int = 0,
+    *,
+    first_index: int = 0,
+    boundary_us: int | None = None,
 ) -> ColumnWindowLayout:
     """Array-native mirror of :func:`windows_by_count`.
 
@@ -399,18 +404,19 @@ def column_windows_by_count(
     object path (a window starts *at* the previous window's last timestamp
     exactly when its first event carries that timestamp, otherwise one
     microsecond past it).
+
+    ``first_index`` numbers the first window and ``boundary_us`` is the
+    last timestamp of the window cut before it: a streaming source passes
+    both to continue the stream, and the first window then starts like
+    every later one instead of at ``start_us``.
     """
     if events_per_window <= 0:
         raise TraceStreamError("events_per_window must be positive")
     timestamps = columns.timestamps_us
     n = len(timestamps)
     if n == 0:
-        return ColumnWindowLayout(
-            event_offsets=np.zeros(1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            start_us=np.empty(0, dtype=np.int64),
-            end_us=np.empty(0, dtype=np.int64),
-        )
+        empty = np.empty(0, dtype=np.int64)
+        return _layout(np.zeros(1, dtype=np.int64), empty, empty, first_index)
     _check_sorted_columns(timestamps)
     n_windows = -(-n // events_per_window)
     offsets = np.minimum(
@@ -418,23 +424,17 @@ def column_windows_by_count(
     )
     lasts = timestamps[offsets[1:] - 1]
     ends = lasts + 1
-    starts = np.empty(n_windows, dtype=np.int64)
-    starts[0] = start_us
-    if n_windows > 1:
-        firsts = timestamps[offsets[1:-1]]
-        boundary = lasts[:-1]
-        starts[1:] = np.where(firsts == boundary, boundary, boundary + 1)
-    if int(timestamps[0]) < start_us:
-        raise TraceFormatError(
-            f"event at t={int(timestamps[0])} outside window "
-            f"[{start_us}, {int(ends[0])})"
-        )
-    return ColumnWindowLayout(
-        event_offsets=offsets,
-        indices=np.arange(n_windows, dtype=np.int64),
-        start_us=starts,
-        end_us=ends,
-    )
+    firsts = timestamps[offsets[:-1]]
+    boundary = np.concatenate(([boundary_us or 0], lasts[:-1]))
+    starts = np.where(firsts == boundary, boundary, boundary + 1)
+    if boundary_us is None:
+        starts[0] = start_us
+        if int(timestamps[0]) < start_us:
+            raise TraceFormatError(
+                f"event at t={int(timestamps[0])} outside window "
+                f"[{start_us}, {int(ends[0])})"
+            )
+    return _layout(offsets, starts, ends, first_index)
 
 
 def materialize_layout_windows(
@@ -463,18 +463,31 @@ class _ColumnCodeMapper:
     Registers unseen event-type names into the monitor registry in global
     event order, batch by batch — exactly the growth a sequential
     ``WindowBatch.from_windows`` over materialised windows would produce.
+    The registry snapshot is taken once, at construction; a type table
+    that grows later (a stream's later chunks naming new types) extends
+    the map against that same snapshot, so a stream fed in chunks assigns
+    the codes a one-shot read does.
     """
 
-    __slots__ = ("map", "names")
+    __slots__ = ("map", "names", "_known")
 
-    def __init__(self, type_names: Sequence[str], registry: EventTypeRegistry) -> None:
-        self.names = tuple(type_names)
-        known = registry.to_dict()
-        self.map = np.fromiter(
-            (known.get(name, -1) for name in self.names),
+    def __init__(self, registry: EventTypeRegistry) -> None:
+        self.names: tuple[str, ...] = ()
+        self._known = registry.to_dict()
+        self.map = np.empty(0, dtype=np.int32)
+
+    def extend(self, names: tuple[str, ...]) -> None:
+        """Follow a type table that only ever grows by appending."""
+        if len(names) == len(self.names):
+            return
+        fresh = names[len(self.names) :]
+        self.names = names
+        addition = np.fromiter(
+            (self._known.get(name, -1) for name in fresh),
             dtype=np.int32,
-            count=len(self.names),
+            count=len(fresh),
         )
+        self.map = np.concatenate((self.map, addition))
 
     def register_span(
         self, file_codes: np.ndarray, base: int, registry: EventTypeRegistry
@@ -522,10 +535,12 @@ def batches_from_layout(
         raise TraceStreamError(
             f"first_window {first_window} out of range for {n_windows} windows"
         )
-    mapper = _ColumnCodeMapper(columns.type_names, registry)
+    mapper = _ColumnCodeMapper(registry)
     for w0 in range(first_window, n_windows, batch_size):
         w1 = min(w0 + batch_size, n_windows)
-        yield _build_column_batch(columns, layout, registry, mapper, w0, w1)
+        yield _build_column_batch(
+            columns, layout, registry, mapper, w0, w1, columns.events
+        )
 
 
 def reference_window_count(
@@ -542,23 +557,23 @@ def reference_window_count(
 
 def reference_batch(
     columns: TraceColumns,
-    layout: ColumnWindowLayout,
     registry: EventTypeRegistry,
     reference_duration_us: int,
+    window_duration_us: int = 40_000,
 ) -> tuple[WindowBatch, int]:
-    """The reference prefix of a layout as one columnar batch.
+    """The reference prefix of a columnar trace as one columnar batch.
 
-    Returns the batch and the index of the first live window (see
+    Returns the batch and the index of the first live window: the prefix
+    is every duration window that ends by ``reference_duration_us`` (see
     :func:`reference_window_count`).  The batch is what reference learning
     (:meth:`~repro.analysis.model.ReferenceModel.learn`) needs, type codes
     and counts, and no event is materialised.  Unseen event types grow
     ``registry`` in event order, exactly as ``WindowBatch.from_windows``
     over the materialised windows would.
     """
-    first_live = reference_window_count(layout, reference_duration_us)
-    mapper = _ColumnCodeMapper(columns.type_names, registry)
-    batch = _build_column_batch(columns, layout, registry, mapper, 0, first_live)
-    return batch, first_live
+    source = ColumnarWindowSource(columns, window_duration_us=window_duration_us)
+    batch = source._streaming_source().reference_batch(registry, reference_duration_us)
+    return batch, len(batch)
 
 
 def _build_column_batch(
@@ -568,10 +583,19 @@ def _build_column_batch(
     mapper: _ColumnCodeMapper,
     w0: int,
     w1: int,
+    events_of: Callable[[int, int], tuple[TraceEvent, ...]],
 ) -> WindowBatch:
+    """Windows ``w0 <= w < w1`` of a layout as one lazy columnar batch.
+
+    ``layout`` offsets index ``columns``; ``events_of(start, stop)``
+    materialises events ``start <= i < stop`` in those same coordinates
+    (``columns.events`` for a whole trace, a chunk-chain lookup for a
+    stream's buffer) and is only called for windows that are resolved.
+    """
     offsets = layout.event_offsets[w0 : w1 + 1]
     lo, hi = int(offsets[0]), int(offsets[-1])
     file_codes = columns.type_codes[lo:hi]
+    mapper.extend(columns.type_names)
     dimension_before = len(registry)
     growth = mapper.register_span(file_codes, lo, registry)
     codes = mapper.map[file_codes]
@@ -580,24 +604,24 @@ def _build_column_batch(
     else:
         dims = np.full(w1 - w0, dimension_before, dtype=np.int64)
     sizes = encoded_window_sizes_columns(columns, offsets)
+    indices = layout.indices[w0:w1]
+    starts = layout.start_us[w0:w1]
+    ends = layout.end_us[w0:w1]
 
     def factory(position: int) -> TraceWindow:
-        w = w0 + position
         return TraceWindow(
-            index=int(layout.indices[w]),
-            start_us=int(layout.start_us[w]),
-            end_us=int(layout.end_us[w]),
-            events=columns.events(
-                int(layout.event_offsets[w]), int(layout.event_offsets[w + 1])
-            ),
+            index=int(indices[position]),
+            start_us=int(starts[position]),
+            end_us=int(ends[position]),
+            events=events_of(int(offsets[position]), int(offsets[position + 1])),
         )
 
     return WindowBatch(
         codes=codes,
         offsets=offsets - lo,
-        indices=layout.indices[w0:w1],
-        start_us=layout.start_us[w0:w1],
-        end_us=layout.end_us[w0:w1],
+        indices=indices,
+        start_us=starts,
+        end_us=ends,
         dims=dims,
         dimension=len(registry),
         windows=None,
@@ -619,24 +643,23 @@ def iter_column_batches(
 ) -> Iterator[WindowBatch]:
     """Columnar mirror of :meth:`TraceStream.window_batches`.
 
-    Cuts the columns into windows array-natively (``searchsorted`` for
-    duration windows, strided offsets for count windows) and yields lazy
-    :class:`WindowBatch` micro-batches — no per-event Python on the hot
-    path, bit-identical decisions and byte accounting downstream.
+    The trace goes through a one-chunk
+    :class:`~repro.trace.streaming.StreamingWindowSource`: windows are cut
+    by the array kernels (``searchsorted`` for duration windows, strided
+    offsets for count windows) and yielded as lazy :class:`WindowBatch`
+    micro-batches — no per-event Python on the hot path, bit-identical
+    decisions and byte accounting downstream.
     """
-    if policy is WindowPolicy.BY_DURATION:
-        layout = column_windows_by_duration(
-            columns, window_duration_us, start_us=start_us, emit_empty=emit_empty
-        )
-    elif policy is WindowPolicy.BY_COUNT:
-        layout = column_windows_by_count(
-            columns, events_per_window, start_us=start_us
-        )
-    else:
-        raise TraceStreamError(f"unknown window policy: {policy!r}")
-    return batches_from_layout(
-        columns, layout, registry, batch_size=batch_size, first_window=first_window
+    source = ColumnarWindowSource(
+        columns,
+        policy=policy,
+        window_duration_us=window_duration_us,
+        events_per_window=events_per_window,
+        start_us=start_us,
+        emit_empty=emit_empty,
+        first_window=first_window,
     )
+    return source.batches(registry, batch_size)
 
 
 @dataclass(frozen=True)
@@ -647,7 +670,10 @@ class ColumnarWindowSource:
     the inline executor cuts batches in-process, while the process-pool
     executor ships the whole object to a worker — a handful of flat arrays
     and one raw buffer, far cheaper to pickle than a list of event objects
-    on spawn-only platforms.
+    on spawn-only platforms.  The recipe is replayable: every call to
+    :meth:`batches` windows the trace afresh, through a one-chunk
+    :class:`~repro.trace.streaming.StreamingWindowSource`, so a failed
+    fleet shard can be retried.
 
     ``window_duration_us`` left at ``None`` defers to the monitor
     configuration at activation (mirroring
@@ -664,6 +690,20 @@ class ColumnarWindowSource:
     emit_empty: bool = True
     first_window: int = 0
 
+    def _streaming_source(self) -> "StreamingWindowSource":
+        """A fresh single-pass streaming source over the trace as one chunk."""
+        # Imported here: the streaming plane is built on this module.
+        from .streaming import StreamingWindowSource, StreamRecipe
+
+        recipe = StreamRecipe(
+            policy=self.policy,
+            window_duration_us=self.window_duration_us,
+            events_per_window=self.events_per_window,
+            start_us=self.start_us,
+            emit_empty=self.emit_empty,
+        )
+        return StreamingWindowSource(columns_chunks=[self.columns], recipe=recipe)
+
     def batches(
         self,
         registry: EventTypeRegistry,
@@ -671,19 +711,11 @@ class ColumnarWindowSource:
         default_window_duration_us: int = 40_000,
     ) -> Iterator[WindowBatch]:
         """Yield the source's window batches against ``registry``."""
-        duration = (
-            self.window_duration_us
-            if self.window_duration_us is not None
-            else default_window_duration_us
-        )
-        return iter_column_batches(
-            self.columns,
+        source = self._streaming_source()
+        batches = source.batches(
             registry,
-            batch_size=batch_size,
-            policy=self.policy,
-            window_duration_us=duration,
-            events_per_window=self.events_per_window,
-            start_us=self.start_us,
-            emit_empty=self.emit_empty,
-            first_window=self.first_window,
+            batch_size,
+            default_window_duration_us=default_window_duration_us,
         )
+        source._skip_windows(self.first_window)
+        return batches

@@ -1,9 +1,9 @@
 """Streaming columnar ingest: live trace sources as window-batch streams.
 
-The columnar plane (:mod:`repro.trace.columns`, :mod:`repro.trace.stream`)
-decodes *complete* files; production monitoring means unbounded sources — a
-trace file still being appended by the tracing hardware, or a pipe/socket
-delivering buffer flushes.  This module closes that gap:
+Production monitoring means unbounded sources — a trace file still being
+appended by the tracing hardware, or a pipe/socket delivering buffer
+flushes.  This module is the columnar plane's one windowing machine; a
+one-shot read of a complete file is a stream of one chunk:
 
 * :class:`FileTail` — follow a (possibly still-growing, possibly not yet
   created) file, yielding byte chunks as they are appended, with a poll
@@ -34,9 +34,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain as _chain
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,16 +45,16 @@ from ..errors import TraceFormatError, TraceStreamError
 from ..testing.faults import corrupt_chunk
 from .batch import WindowBatch
 from .codec import _MAGIC
-from .columns import (
-    BinaryColumnsDecoder,
-    JsonColumnsDecoder,
-    TraceColumns,
-    encoded_window_sizes_columns,
-)
+from . import stream as _stream
+from .columns import BinaryColumnsDecoder, JsonColumnsDecoder, TraceColumns
 from .event import EventTypeRegistry
 from .pipeline import BoundedHandoff, HandoffStats
-from .stream import WindowPolicy, _check_sorted_columns, _ColumnCodeMapper
-from .window import TraceWindow
+from .stream import (
+    ColumnWindowLayout,
+    WindowPolicy,
+    _build_column_batch,
+    _ColumnCodeMapper,
+)
 
 __all__ = [
     "FileTail",
@@ -250,61 +251,6 @@ class StreamStats:
     corrupt_offsets: "tuple[int, ...]" = ()
 
 
-class _StreamCodeMapper(_ColumnCodeMapper):
-    """A :class:`_ColumnCodeMapper` whose type table grows with the stream.
-
-    The registry snapshot is taken once, at construction (exactly when the
-    one-shot ``batches_from_layout`` takes it); names that appear later in
-    the stream extend the map against that same snapshot, so the
-    stream-global code assignment matches the one-shot decode bit for bit.
-    """
-
-    __slots__ = ("_known",)
-
-    def __init__(self, registry: EventTypeRegistry) -> None:
-        self.names = ()
-        self._known = registry.to_dict()
-        self.map = np.empty(0, dtype=np.int32)
-
-    def extend(self, names: Sequence[str]) -> None:
-        if len(names) == len(self.names):
-            return
-        fresh = tuple(names[len(self.names) :])
-        self.names = tuple(names)
-        addition = np.fromiter(
-            (self._known.get(name, -1) for name in fresh),
-            dtype=np.int32,
-            count=len(fresh),
-        )
-        self.map = np.concatenate((self.map, addition))
-
-
-class _SpanView:
-    """Duck-typed :class:`TraceColumns` stand-in for byte accounting.
-
-    :func:`~repro.trace.columns.encoded_window_sizes_columns` only touches
-    the flat arrays and the type-table length, so the streaming batch
-    builder hands it the window buffers directly instead of building a
-    throwaway :class:`TraceColumns`.
-    """
-
-    __slots__ = ("timestamps_us", "type_codes", "cores", "static_sizes", "type_names")
-
-    def __init__(
-        self,
-        timestamps_us: np.ndarray,
-        type_codes: np.ndarray,
-        cores: np.ndarray,
-        static_sizes: np.ndarray,
-        type_names: Sequence[str],
-    ) -> None:
-        self.timestamps_us = timestamps_us
-        self.type_codes = type_codes
-        self.cores = cores
-        self.static_sizes = static_sizes
-        self.type_names = type_names
-
-
 def _chain_events(
     chunks: Sequence[Tuple[int, TraceColumns]], start: int, stop: int
 ) -> tuple:
@@ -327,24 +273,58 @@ def _chain_events(
     return tuple(_chain.from_iterable(parts))
 
 
+def _windows(
+    layout: ColumnWindowLayout, w0: int, w1: int, shift: int = 0
+) -> ColumnWindowLayout:
+    """Windows ``w0 <= w < w1`` of a layout, event offsets moved by ``shift``."""
+    offsets = layout.event_offsets[w0 : w1 + 1]
+    return ColumnWindowLayout(
+        event_offsets=offsets + shift if shift else offsets,
+        indices=layout.indices[w0:w1],
+        start_us=layout.start_us[w0:w1],
+        end_us=layout.end_us[w0:w1],
+    )
+
+
+def _joined(head: ColumnWindowLayout, tail: ColumnWindowLayout) -> ColumnWindowLayout:
+    """Two contiguous layouts as one (``tail`` starts where ``head`` ends)."""
+    if not head.n_windows:
+        return tail
+    return ColumnWindowLayout(
+        event_offsets=np.concatenate((head.event_offsets[:-1], tail.event_offsets)),
+        indices=np.concatenate((head.indices, tail.indices)),
+        start_us=np.concatenate((head.start_us, tail.start_us)),
+        end_us=np.concatenate((head.end_us, tail.end_us)),
+    )
+
+
 class StreamingWindowSource:
     """A live trace stream as monitor-ready window batches, bounded memory.
 
     Construct from ``byte_chunks`` (any iterable of byte chunks — a
     :class:`FileTail`, a :class:`PushFeed`, a socket reader) or from
     ``columns_chunks`` (already-decoded :class:`TraceColumns` chunks, as
-    shipped over the parallel fleet's per-shard channels).  The source is
+    shipped over the parallel fleet's per-shard channels).  A one-shot
+    read is this source over one chunk, ``columns_chunks=[columns]``
+    (:class:`~repro.trace.stream.ColumnarWindowSource`).  The source is
     single-pass and duck-types
     :meth:`~repro.trace.stream.ColumnarWindowSource.batches`, so it is
     accepted anywhere a fleet shard is.
 
-    The emitted batches are bit-identical to a one-shot columnar read of
-    the final stream contents: same window layout, same registry growth
-    order, same ``dims``/byte-size accounting, same lazily materialised
-    events.  Decoded events are discarded once the batch owning them has
-    been yielded, so the buffered high-water mark
-    (``stats.peak_buffered_events``) scales with ``batch_size`` times the
-    window event count — never with the stream length.
+    Each chunk is windowed by one call of the array kernel
+    (:func:`~repro.trace.stream.column_windows_by_duration` /
+    :func:`~repro.trace.stream.column_windows_by_count`) over the events
+    not yet in a completed window, continuing from the carried window
+    index and slot start / boundary timestamp; batches come from the one
+    columnar batch builder.  The emitted batches are therefore
+    bit-identical to a one-shot read of the final stream contents, fed in
+    any chunking: same window layout, same registry growth order, same
+    ``dims``/byte-size accounting, same lazily materialised events.
+    Decoded events are released once the batch owning them has been
+    yielded, so the buffered high-water mark
+    (``stats.peak_buffered_events``) scales with the chunk size plus
+    ``batch_size`` times the window event count — never with the stream
+    length.
     """
 
     def __init__(
@@ -367,32 +347,27 @@ class StreamingWindowSource:
         self._exhausted = False
         self._batches_started = False
         self._duration: int | None = None
-        # Stream-global type table (first-appearance order across chunks).
-        self._global_names: list[str] = []
-        self._global_codes: dict[str, int] = {}
-        # Event buffers: absolute event index of element 0 is _buf_base.
-        self._ts_buf = np.empty(0, dtype=np.int64)
-        self._code_buf = np.empty(0, dtype=np.int32)
-        self._core_buf = np.empty(0, dtype=np.int64)
-        self._static_buf = np.empty(0, dtype=np.int64)
-        self._buf_base = 0
-        self._events_total = 0
         self._last_ts: int | None = None
-        self._chunk_chain: List[Tuple[int, TraceColumns]] = []
-        # Completed (but not yet batched) windows: absolute event spans.
-        self._win_lo: list[int] = []
-        self._win_hi: list[int] = []
-        self._win_index: list[int] = []
-        self._win_start: list[int] = []
-        self._win_end: list[int] = []
-        self._win_cursor = 0
-        self._windows_emitted = 0
-        self._consumed_abs = 0
-        # Policy state.
-        self._next_slot = 0  # BY_DURATION: first incomplete slot
-        self._assigned_abs = 0  # BY_COUNT: first unassigned event
-        self._count_window_start: int | None = None
-        self._count_boundary: int = 0
+        self._events_total = 0
+        # Decoded events not yet handed over, over the stream-global type
+        # table (first-appearance order across chunks); element 0 is
+        # absolute event ``_base``.  Unless a chunk is adopted as is, these
+        # columns hold arrays only: the window kernels and the byte
+        # accounting read nothing else, and events are materialised from
+        # the retained chunks (keyed by absolute start).
+        self._buffer = TraceColumns.from_events(())
+        self._base = 0
+        self._chunks: List[Tuple[int, TraceColumns]] = []
+        # Completed windows, offsets into ``_buffer`` (none yet: the empty
+        # layout); those before ``_cursor`` have been handed over.  The
+        # last offset is the first event not yet in a completed window.
+        self._layout = _stream.column_windows_by_count(self._buffer, 1)
+        self._cursor = 0
+        # Kernel carry: the next window's index, the start of the first
+        # open duration slot, the last timestamp of the last count window.
+        self._next_index = 0
+        self._next_start_us = self.recipe.start_us
+        self._boundary_us: int | None = None
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -523,159 +498,156 @@ class StreamingWindowSource:
             chunk = next(self._columns_iter)
         except StopIteration:
             self._exhausted = True
-            self._finalize_windows()
+            self._cut_windows(final=True)
             return False
-        self._extend(chunk)
+        self.stats.chunks += 1
+        if len(chunk):
+            self._extend(chunk)
+        self._cut_windows(final=False)
+        if len(self._buffer) > self.stats.peak_buffered_events:
+            self.stats.peak_buffered_events = len(self._buffer)
         return True
 
     def _extend(self, chunk: TraceColumns) -> None:
-        self.stats.chunks += 1
-        n = len(chunk)
-        if n:
-            remap = np.empty(len(chunk.type_names), dtype=np.int32)
-            for local, name in enumerate(chunk.type_names):
-                code = self._global_codes.get(name)
-                if code is None:
-                    code = len(self._global_names)
-                    self._global_codes[name] = code
-                    self._global_names.append(name)
-                remap[local] = code
-            timestamps = chunk.timestamps_us
-            first_ts = int(timestamps[0])
-            if self._last_ts is not None and first_ts < self._last_ts:
-                raise TraceStreamError(
-                    "event stream is not sorted by timestamp "
-                    f"({first_ts} after {self._last_ts})"
-                )
-            _check_sorted_columns(timestamps)
-            if self._events_total == 0 and first_ts < self.recipe.start_us:
-                raise TraceStreamError(
-                    f"event at t={first_ts} precedes stream start "
-                    f"{self.recipe.start_us}"
-                )
-            self._ts_buf = np.concatenate((self._ts_buf, timestamps))
-            self._code_buf = np.concatenate(
-                (self._code_buf, remap[chunk.type_codes])
+        first_ts = int(chunk.timestamps_us[0])
+        if self._last_ts is not None and first_ts < self._last_ts:
+            raise TraceStreamError(
+                "event stream is not sorted by timestamp "
+                f"({first_ts} after {self._last_ts})"
             )
-            self._core_buf = np.concatenate((self._core_buf, chunk.cores))
-            self._static_buf = np.concatenate(
-                (self._static_buf, chunk.static_sizes)
+        if self._last_ts is None and first_ts < self.recipe.start_us:
+            raise TraceStreamError(
+                f"event at t={first_ts} precedes stream start "
+                f"{self.recipe.start_us}"
             )
-            self._chunk_chain.append((self._events_total, chunk))
-            self._events_total += n
-            self.stats.events += n
-            self._last_ts = int(timestamps[-1])
-        self._advance_windows(final=False)
-        if len(self._ts_buf) > self.stats.peak_buffered_events:
-            self.stats.peak_buffered_events = len(self._ts_buf)
+        names, codes = self._global_codes(chunk)
+        # Drop what was handed over.  Slicing keeps the old arrays alive
+        # only until the concatenation below, so compaction never copies.
+        cut = int(self._layout.event_offsets[self._cursor])
+        old = self._buffer
+        if cut == len(old):
+            adopt = codes is chunk.type_codes and names == chunk.type_names
+            self._buffer = chunk if adopt else TraceColumns(
+                chunk.timestamps_us, codes, chunk.cores, names, chunk.static_sizes, "events"
+            )
+        else:
+            self._buffer = TraceColumns(
+                np.concatenate((old.timestamps_us[cut:], chunk.timestamps_us)),
+                np.concatenate((old.type_codes[cut:], codes)),
+                np.concatenate((old.cores[cut:], chunk.cores)),
+                names,
+                np.concatenate((old.static_sizes[cut:], chunk.static_sizes)),
+                "events",
+            )
+        self._layout = _windows(
+            self._layout, self._cursor, self._layout.n_windows, -cut
+        )
+        self._cursor = 0
+        self._base += cut
+        self._chunks.append((self._events_total, chunk))
+        self._events_total += len(chunk)
+        self.stats.events += len(chunk)
+        self._last_ts = int(chunk.timestamps_us[-1])
+
+    def _global_codes(
+        self, chunk: TraceColumns
+    ) -> Tuple[Tuple[str, ...], np.ndarray]:
+        """The stream-global type table grown by ``chunk``, and its codes."""
+        names = self._buffer.type_names
+        if chunk.type_names[: len(names)] == names:
+            # The decoders' chunks carry the stream's cumulative type
+            # table, so their codes already are stream-global.
+            return chunk.type_names, chunk.type_codes
+        if names[: len(chunk.type_names)] == chunk.type_names:
+            return names, chunk.type_codes
+        index = {name: code for code, name in enumerate(names)}
+        for name in chunk.type_names:
+            index.setdefault(name, len(index))
+        remap = np.array([index[name] for name in chunk.type_names], dtype=np.int32)
+        return tuple(index), remap[chunk.type_codes]
 
     # ------------------------------------------------------------------ #
-    # Incremental windowing
+    # Windowing
     # ------------------------------------------------------------------ #
-    def _advance_windows(self, final: bool) -> None:
-        if self.recipe.policy is WindowPolicy.BY_DURATION:
-            self._advance_duration(final)
-        elif self.recipe.policy is WindowPolicy.BY_COUNT:
-            self._advance_count(final)
+    def _cut_windows(self, final: bool) -> None:
+        """Window the events not yet in a completed window.
+
+        One kernel call over the buffered tail, continuing from the
+        carried state.  A duration slot completes once an event at or
+        after its end has arrived, a count window once it is full; at
+        end-of-stream the open window completes too.
+        """
+        if not self._events_total and not final:
+            return
+        first = int(self._layout.event_offsets[-1])
+        tail = self._buffer
+        if first:
+            tail = TraceColumns(
+                tail.timestamps_us[first:],
+                tail.type_codes[first:],
+                tail.cores[first:],
+                tail.type_names,
+                tail.static_sizes[first:],
+                "events",
+            )
+        policy = self.recipe.policy
+        if policy is WindowPolicy.BY_DURATION:
+            assert self._duration is not None
+            # Resolved through the module at call time, so a wrapper
+            # installed on ``stream.column_windows_by_duration`` sees it.
+            cut = _stream.column_windows_by_duration(
+                tail,
+                self._duration,
+                self._next_start_us,
+                self.recipe.emit_empty,
+                first_index=self._next_index,
+            )
+            # The slot holding the last event stays open until then.
+            complete = cut.n_windows if final else cut.n_windows - 1
+            if complete < cut.n_windows:
+                self._next_start_us = int(cut.start_us[complete])
+        elif policy is WindowPolicy.BY_COUNT:
+            per_window = self.recipe.events_per_window
+            cut = _stream.column_windows_by_count(
+                tail,
+                per_window,
+                self.recipe.start_us,
+                first_index=self._next_index,
+                boundary_us=self._boundary_us,
+            )
+            complete = cut.n_windows if final else len(tail) // per_window
+            if complete:
+                self._boundary_us = int(cut.end_us[complete - 1]) - 1
         else:
             raise TraceStreamError(
                 f"unknown window policy: {self.recipe.policy!r}"
             )
-
-    def _advance_duration(self, final: bool) -> None:
-        duration = self._duration
-        assert duration is not None
-        start0 = self.recipe.start_us
-        if self._events_total == 0:
-            if final and self.recipe.emit_empty and self._windows_emitted == 0:
-                # One-shot layout of an empty trace: a single empty window.
-                self._push_window(0, start0, start0 + duration, 0, 0)
-            return
-        assert self._last_ts is not None
-        last_slot = (self._last_ts - start0) // duration
-        # A slot is complete once an event at/after its end has arrived;
-        # at end-of-stream the slot holding the last event completes too.
-        until = last_slot + 1 if final else last_slot
-        if until <= self._next_slot:
-            return
-        bounds = start0 + duration * np.arange(
-            self._next_slot, until + 1, dtype=np.int64
-        )
-        relative = np.searchsorted(self._ts_buf, bounds, side="left")
-        for k in range(len(bounds) - 1):
-            lo = int(relative[k]) + self._buf_base
-            hi = int(relative[k + 1]) + self._buf_base
-            if hi > lo or self.recipe.emit_empty:
-                index = (
-                    self._next_slot + k
-                    if self.recipe.emit_empty
-                    else self._windows_emitted
-                )
-                self._push_window(
-                    index, int(bounds[k]), int(bounds[k + 1]), lo, hi
-                )
-        self._assigned_abs = int(relative[-1]) + self._buf_base
-        self._next_slot = until
-
-    def _advance_count(self, final: bool) -> None:
-        per_window = self.recipe.events_per_window
-        while self._events_total - self._assigned_abs >= per_window:
-            self._cut_count_window(self._assigned_abs + per_window)
-        if final and self._events_total > self._assigned_abs:
-            self._cut_count_window(self._events_total)
-
-    def _cut_count_window(self, hi: int) -> None:
-        lo = self._assigned_abs
-        first_ts = int(self._ts_buf[lo - self._buf_base])
-        last_ts = int(self._ts_buf[hi - 1 - self._buf_base])
-        if self._windows_emitted == 0:
-            if first_ts < self.recipe.start_us:
-                raise TraceFormatError(
-                    f"event at t={first_ts} outside window "
-                    f"[{self.recipe.start_us}, {last_ts + 1})"
-                )
-            start = self.recipe.start_us
-        elif first_ts == self._count_boundary:
-            # Duplicate boundary timestamp: the window starts *at* the
-            # boundary so the event falls inside its half-open extent.
-            start = self._count_boundary
-        else:
-            start = self._count_boundary + 1
-        self._push_window(self._windows_emitted, start, last_ts + 1, lo, hi)
-        self._count_boundary = last_ts
-        self._assigned_abs = hi
-
-    def _push_window(
-        self, index: int, start_us: int, end_us: int, lo: int, hi: int
-    ) -> None:
-        self._win_index.append(index)
-        self._win_start.append(start_us)
-        self._win_end.append(end_us)
-        self._win_lo.append(lo)
-        self._win_hi.append(hi)
-        self._windows_emitted += 1
-        self.stats.windows += 1
-
-    def _finalize_windows(self) -> None:
-        self._advance_windows(final=True)
+        if complete:
+            self._layout = _joined(self._layout, _windows(cut, 0, complete, first))
+            self._next_index += complete
+            self.stats.windows += complete
 
     def _available(self) -> int:
-        return len(self._win_index) - self._win_cursor
+        return self._layout.n_windows - self._cursor
 
     # ------------------------------------------------------------------ #
     # Consumption
     # ------------------------------------------------------------------ #
-    def reference_windows(
+    def reference_batch(
         self,
+        registry: EventTypeRegistry,
         reference_duration_us: int,
         default_window_duration_us: int = 40_000,
-    ) -> list[TraceWindow]:
-        """Consume the stream's reference prefix as materialised windows.
+    ) -> WindowBatch:
+        """Consume the stream's reference prefix as one columnar batch.
 
-        Returns every window whose extent ends at or before
-        ``start_us + reference_duration_us`` — exactly the prefix
-        :meth:`TraceMonitor.run_on_columns` splits off for reference
-        learning.  Must be called before :meth:`batches`.
+        The prefix is every window whose extent ends at or before
+        ``start_us + reference_duration_us``, the windows
+        :meth:`~repro.trace.stream.TraceStream.split_reference` returns.
+        The batch holds what reference learning needs, type codes and
+        counts, and materialises no event; unseen types grow ``registry``
+        in event order.  Must be called before :meth:`batches`, which
+        continues with the first live window.
         """
         if reference_duration_us <= 0:
             raise TraceStreamError("reference_duration_us must be positive")
@@ -683,31 +655,30 @@ class StreamingWindowSource:
             raise TraceStreamError("stream already consumed")
         self._ensure_started(default_window_duration_us)
         boundary = self.recipe.start_us + reference_duration_us
-        while not self._win_end or self._win_end[-1] <= boundary:
+        while not self._available() or self._layout.end_us[-1] <= boundary:
             if not self._pump():
                 break
-        first_live = 0
-        while (
-            first_live < len(self._win_end)
-            and self._win_end[first_live] <= boundary
-        ):
-            first_live += 1
-        windows = [
-            TraceWindow(
-                index=self._win_index[w],
-                start_us=self._win_start[w],
-                end_us=self._win_end[w],
-                events=_chain_events(
-                    self._chunk_chain, self._win_lo[w], self._win_hi[w]
-                ),
+        ends = self._layout.end_us[self._cursor :]
+        count = int(np.searchsorted(ends, boundary, side="right"))
+        return self._take(registry, _ColumnCodeMapper(registry), count)
+
+    def _skip_windows(self, n_windows: int) -> None:
+        """Consume the next ``n_windows`` windows without building them.
+
+        Used by :class:`~repro.trace.stream.ColumnarWindowSource` to skip
+        an already-learned reference prefix; global window indices are
+        kept.
+        """
+        if n_windows < 0:
+            raise TraceStreamError(f"first_window {n_windows} out of range")
+        while self._available() < n_windows and self._pump():
+            pass
+        if self._available() < n_windows:
+            raise TraceStreamError(
+                f"first_window {n_windows} out of range for "
+                f"{self._next_index} windows"
             )
-            for w in range(first_live)
-        ]
-        self._win_cursor = first_live
-        if first_live:
-            self._consumed_abs = self._win_hi[first_live - 1]
-            self._compact()
-        return windows
+        self._hand_over(self._cursor + n_windows)
 
     def batches(
         self,
@@ -730,114 +701,62 @@ class StreamingWindowSource:
             raise TraceStreamError("stream already consumed")
         self._batches_started = True
         self._ensure_started(default_window_duration_us)
+        return self._generate(registry, batch_size)
 
-        def _generate() -> Iterator[WindowBatch]:
-            mapper = _StreamCodeMapper(registry)
-            while True:
-                while self._available() >= batch_size:
-                    yield self._build_batch(registry, mapper, batch_size)
-                if not self._pump():
-                    break
-            while self._available():
-                yield self._build_batch(
-                    registry, mapper, min(batch_size, self._available())
-                )
+    def _generate(
+        self, registry: EventTypeRegistry, batch_size: int
+    ) -> Iterator[WindowBatch]:
+        mapper = _ColumnCodeMapper(registry)
+        while True:
+            while self._available() >= batch_size:
+                yield self._take(registry, mapper, batch_size)
+            if not self._pump():
+                break
+        while self._available():
+            yield self._take(registry, mapper, min(batch_size, self._available()))
 
-        return _generate()
-
-    def _build_batch(
-        self,
-        registry: EventTypeRegistry,
-        mapper: _StreamCodeMapper,
-        n_windows: int,
+    def _take(
+        self, registry: EventTypeRegistry, mapper: _ColumnCodeMapper, n_windows: int
     ) -> WindowBatch:
-        cursor = self._win_cursor
-        stop = cursor + n_windows
-        offsets_abs = np.empty(n_windows + 1, dtype=np.int64)
-        offsets_abs[:-1] = self._win_lo[cursor:stop]
-        offsets_abs[-1] = self._win_hi[stop - 1]
-        lo_abs, hi_abs = int(offsets_abs[0]), int(offsets_abs[-1])
-        rel_lo = lo_abs - self._buf_base
-        rel_hi = hi_abs - self._buf_base
-        file_codes = self._code_buf[rel_lo:rel_hi]
-        mapper.extend(self._global_names)
-        dimension_before = len(registry)
-        growth = mapper.register_span(file_codes, lo_abs, registry)
-        codes = mapper.map[file_codes]
-        if growth.size:
-            dims = dimension_before + np.searchsorted(
-                growth, offsets_abs[1:], side="left"
-            )
-        else:
-            dims = np.full(n_windows, dimension_before, dtype=np.int64)
-        sizes = encoded_window_sizes_columns(
-            _SpanView(
-                self._ts_buf,
-                self._code_buf,
-                self._core_buf,
-                self._static_buf,
-                tuple(self._global_names),
-            ),
-            offsets_abs - self._buf_base,
+        """Hand over the next ``n_windows`` completed windows as a batch."""
+        w0 = self._cursor
+        w1 = w0 + n_windows
+        offsets = self._layout.event_offsets
+        batch = _build_column_batch(
+            self._buffer,
+            self._layout,
+            registry,
+            mapper,
+            w0,
+            w1,
+            self._events_of(int(offsets[w0]), int(offsets[w1])),
         )
-        indices = np.array(self._win_index[cursor:stop], dtype=np.int64)
-        starts = np.array(self._win_start[cursor:stop], dtype=np.int64)
-        ends = np.array(self._win_end[cursor:stop], dtype=np.int64)
-        span_chunks = [
-            (chunk_start, chunk)
-            for chunk_start, chunk in self._chunk_chain
-            if chunk_start < hi_abs and chunk_start + len(chunk) > lo_abs
-        ]
-        offsets_snapshot = offsets_abs.copy()
-
-        def factory(position: int) -> TraceWindow:
-            return TraceWindow(
-                index=int(indices[position]),
-                start_us=int(starts[position]),
-                end_us=int(ends[position]),
-                events=_chain_events(
-                    span_chunks,
-                    int(offsets_snapshot[position]),
-                    int(offsets_snapshot[position + 1]),
-                ),
-            )
-
-        batch = WindowBatch(
-            codes=codes,
-            offsets=offsets_abs - lo_abs,
-            indices=indices,
-            start_us=starts,
-            end_us=ends,
-            dims=dims,
-            dimension=len(registry),
-            windows=None,
-            window_sizes=sizes,
-            window_factory=factory,
-        )
-        self._win_cursor = stop
-        self._consumed_abs = hi_abs
+        self._hand_over(w1)
         self.stats.batches += 1
-        self._compact()
         return batch
 
-    def _compact(self) -> None:
-        """Release buffered events and windows already handed over."""
-        cut = self._consumed_abs - self._buf_base
-        if cut > 0:
-            self._ts_buf = self._ts_buf[cut:].copy()
-            self._code_buf = self._code_buf[cut:].copy()
-            self._core_buf = self._core_buf[cut:].copy()
-            self._static_buf = self._static_buf[cut:].copy()
-            self._buf_base = self._consumed_abs
-            self._chunk_chain = [
-                (chunk_start, chunk)
-                for chunk_start, chunk in self._chunk_chain
-                if chunk_start + len(chunk) > self._consumed_abs
-            ]
-        if self._win_cursor:
-            del self._win_index[: self._win_cursor]
-            del self._win_start[: self._win_cursor]
-            del self._win_end[: self._win_cursor]
-            del self._win_lo[: self._win_cursor]
-            del self._win_hi[: self._win_cursor]
-            self._win_cursor = 0
+    def _hand_over(self, cursor: int) -> None:
+        """Mark the windows before ``cursor`` handed over.
+
+        Chunks holding only their events are released at once, before the
+        next chunk is decoded; the buffered arrays go at the next intake.
+        """
+        self._cursor = cursor
+        done = self._base + int(self._layout.event_offsets[cursor])
+        self._chunks = [
+            (start, chunk)
+            for start, chunk in self._chunks
+            if start + len(chunk) > done
+        ]
+
+    def _events_of(self, lo: int, hi: int) -> Callable[[int, int], tuple]:
+        """Event materialiser for buffer positions ``lo <= i < hi``."""
+        base = self._base
+        span = [
+            (start - base, chunk)
+            for start, chunk in self._chunks
+            if start - base < hi and start - base + len(chunk) > lo
+        ]
+        if len(span) == 1 and span[0][0] == 0:
+            return span[0][1].events
+        return partial(_chain_events, span)

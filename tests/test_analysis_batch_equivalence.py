@@ -31,6 +31,7 @@ from repro.analysis.model import ReferenceModel
 from repro.analysis.pmf import Pmf, merge_counts, pmf_from_window, pmf_matrix
 from repro.config import DetectorConfig, MonitorConfig
 from repro.trace.batch import WindowBatch, batch_windows
+from repro.trace.codec import encoded_trace_size
 from repro.trace.event import EventTypeRegistry, TraceEvent
 from repro.trace.generator import PeriodicTraceGenerator, SyntheticTraceGenerator
 from repro.trace.stream import windows_by_duration
@@ -261,6 +262,17 @@ class TestMonitorBatchEquivalence:
             results.append(monitor.monitor_windows(iter(windows), model))
         serial_result, batched_result = results
         assert decisions_equal(serial_result.decisions, batched_result.decisions)
+        # A batch of one is still a batch: the per-window ``process`` path
+        # stays the independent oracle of the monitor's decisions and bytes.
+        model, registry = reference_setup(seed=12)
+        oracle = OnlineAnomalyDetector(
+            model, DetectorConfig(k_neighbours=10, lof_threshold=1.3), registry
+        )
+        expected = [oracle.process(w) for w in windows]
+        assert decisions_equal(expected, serial_result.decisions)
+        assert [encoded_trace_size(w.events) for w in windows] == [
+            d.window_bytes for d in serial_result.decisions
+        ]
         assert [d.window_bytes for d in serial_result.decisions] == [
             d.window_bytes for d in batched_result.decisions
         ]

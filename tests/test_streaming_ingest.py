@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,14 +36,15 @@ from repro.trace.codec import BinaryTraceCodec
 from repro.trace.columns import (
     BinaryColumnsDecoder,
     JsonColumnsDecoder,
+    TraceColumns,
     decode_binary_columns,
     decode_json_columns,
 )
 from repro.trace.event import EventTypeRegistry
 from repro.trace.generator import SyntheticTraceGenerator
 from repro.trace.pipeline import BoundedHandoff, HandoffStats, prefetch_batches
-from repro.trace.reader import read_trace_columns
-from repro.trace.stream import WindowPolicy, iter_column_batches
+from repro.trace.reader import read_trace, read_trace_columns
+from repro.trace.stream import TraceStream, WindowPolicy, iter_column_batches
 from repro.trace.streaming import (
     FileTail,
     PushFeed,
@@ -481,6 +483,20 @@ def one_shot_batches(columns, registry, policy, emit_empty=True):
     )
 
 
+def object_batches(path, registry, policy, emit_empty=True):
+    """The object oracle: per-event windowing over the object decode."""
+    return list(
+        TraceStream(read_trace(path)).window_batches(
+            registry,
+            batch_size=8,
+            policy=policy,
+            window_duration_us=WINDOW_US,
+            events_per_window=100,
+            emit_empty=emit_empty,
+        )
+    )
+
+
 def streaming_batches(path, recipe):
     data = path.read_bytes()
     rng = np.random.default_rng(5)
@@ -534,6 +550,58 @@ def test_streaming_batches_match_one_shot(trace_files, fmt, policy, emit_empty):
     # Bounded memory: the buffered high-water mark tracks the batch extent,
     # not the stream length.
     assert 0 < source.stats.peak_buffered_events < total_events
+    # A one-shot read is the same source over one chunk, so the object
+    # windowing is the independent expected value.
+    oracle_registry = EventTypeRegistry.with_default_types()
+    oracle = object_batches(path, oracle_registry, policy, emit_empty)
+    assert registry.names == oracle_registry.names
+    assert len(actual) == len(oracle)
+    for got, want in zip(actual, oracle):
+        np.testing.assert_array_equal(got.codes, want.codes)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.start_us, want.start_us)
+        np.testing.assert_array_equal(got.end_us, want.end_us)
+        np.testing.assert_array_equal(got.dims, want.dims)
+        assert got.dimension == want.dimension
+        np.testing.assert_array_equal(got.window_sizes(), want.window_sizes())
+        assert got.to_windows() == want.to_windows()
+
+
+def test_one_chunk_source_peak_memory_is_a_fraction_of_the_chunk():
+    """A one-shot read is a one-chunk stream, and must cost no copy of it.
+
+    The source adopts the chunk's arrays, windows them with one kernel call
+    and hands batches over by slicing, so the traced peak stays a small
+    fraction of the chunk's own column bytes: a copy of the chunk on intake
+    or a copy of the remaining buffer after every batch would exceed it.
+    """
+    events = list(
+        SyntheticTraceGenerator(MIX, rate_per_s=600, seed=11).events(200.0)
+    )
+    assert len(events) >= 100_000
+    columns = TraceColumns.from_events(events)
+    column_bytes = sum(
+        array.nbytes
+        for array in (
+            columns.timestamps_us,
+            columns.type_codes,
+            columns.cores,
+            columns.static_sizes,
+        )
+    )
+    source = StreamingWindowSource(columns_chunks=[columns])
+    registry = EventTypeRegistry.with_default_types()
+    tracemalloc.start()
+    try:
+        n_windows = 0
+        for batch in source.batches(registry, 64, default_window_duration_us=WINDOW_US):
+            n_windows += len(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_windows == source.stats.windows > 4_000
+    assert peak <= 0.15 * column_bytes, (peak, column_bytes)
 
 
 def test_streaming_source_is_single_pass(trace_files):

@@ -305,7 +305,7 @@ def test_reference_batch_learns_the_materialised_model(seed, min_events):
             materialize_layout_windows(columns, layout, 0, first_live), registry_obj
         )
         batch, batch_first_live = reference_batch(
-            columns, layout, registry_col, boundary
+            columns, registry_col, boundary, WINDOW_US
         )
         assert batch_first_live == first_live and len(batch) == first_live
         assert batch._lazy_cache is None  # nothing materialised
@@ -318,6 +318,15 @@ def test_reference_batch_learns_the_materialised_model(seed, min_events):
         assert learned.type_names == expected.type_names
         assert learned.n_windows_seen == expected.n_windows_seen
         assert learned.n_reference_windows == expected.n_reference_windows
+        # Independent oracle: the object windowing's reference prefix.
+        registry_ref = EventTypeRegistry(["alpha"])
+        oracle = ReferenceModel(k_neighbours=2, min_events_per_window=min_events).learn(
+            reference, registry_ref
+        )
+        assert registry_col.names == registry_ref.names
+        assert np.array_equal(learned.points, oracle.points)
+        assert np.array_equal(learned._mean_pmf_counts, oracle._mean_pmf_counts)
+        assert learned.n_windows_seen == oracle.n_windows_seen
 
 
 def test_reference_batch_before_the_first_window_end_is_empty():
@@ -325,7 +334,7 @@ def test_reference_batch_before_the_first_window_end_is_empty():
     layout = column_windows_by_duration(columns, WINDOW_US)
     registry = EventTypeRegistry()
     empty, first_live = reference_batch(
-        columns, layout, registry, int(layout.end_us[0]) - 1
+        columns, registry, int(layout.end_us[0]) - 1, WINDOW_US
     )
     assert len(empty) == 0 and first_live == 0 and len(registry) == 0
     with pytest.raises(ModelError, match=r"not enough usable reference windows \(0\)"):
@@ -350,6 +359,7 @@ def test_column_batches_skip_reference_prefix():
     produced = [w for batch in batches for w in batch.to_windows()]
     # Window indices continue where the skipped prefix stopped.
     assert [w.index for w in produced] == list(range(skip, layout.n_windows))
+    assert produced == list(windows_by_duration(iter(events), WINDOW_US))[skip:]
 
 
 def test_lazy_window_refs_defer_materialisation():
