@@ -27,9 +27,13 @@ The library has three layers:
   lazy :class:`~repro.trace.batch.WindowBatch` micro-batches
   (:func:`~repro.trace.reader.read_trace_columns`,
   :func:`~repro.trace.reader.iter_window_batches`), and a bounded
-  producer/consumer hand-off overlaps decode with scoring
-  (:meth:`~repro.analysis.monitor.TraceMonitor.run_on_file`) — results are
-  bit-identical to the object path.
+  producer/consumer hand-off overlaps batch building with scoring
+  (``prefetch_batches`` of
+  :meth:`~repro.analysis.monitor.TraceMonitor.run_on_file`, which decodes
+  the file first; ``--follow`` decodes chunk by chunk instead) — results
+  are bit-identical to the object path.  The recorder encodes the windows
+  it writes straight from the columns
+  (:func:`~repro.trace.recording.encode_window_spans`).
 * **Experiments** — :mod:`repro.experiments`: the endurance experiment of
   the paper's Section III, parameter sweeps and plain-text reports; the
   benchmarks under ``benchmarks/`` drive these to regenerate the paper's
@@ -45,128 +49,41 @@ Quickstart::
     print(result.monitor_result.report.reduction_factor)
 """
 
-from .version import __version__
-from .errors import (
-    ConfigurationError,
-    ExperimentError,
-    LabelingError,
-    ModelError,
-    NotFittedError,
-    PipelineError,
-    RecorderError,
-    ReproError,
-    SimulationError,
-    TraceFormatError,
-    TraceStreamError,
-)
-from .config import (
-    DetectorConfig,
-    EnduranceConfig,
-    MediaConfig,
-    MonitorConfig,
-    PerturbationConfig,
-    PlatformConfig,
-    load_config,
-    save_config,
-)
-from .trace import (
-    ColumnarWindowSource,
-    EventType,
-    EventTypeRegistry,
-    TraceColumns,
-    TraceEvent,
-    TraceStream,
-    TraceWindow,
-    WindowBatch,
-    batch_windows,
-    iter_window_batches,
-    read_trace,
-    read_trace_columns,
-    write_trace,
-)
-from .analysis import (
-    FleetResult,
-    LocalOutlierFactor,
-    MonitorResult,
-    OnlineAnomalyDetector,
-    Pmf,
-    ReferenceDatabase,
-    ReferenceModel,
-    SelectiveTraceRecorder,
-    ShardedTraceMonitor,
-    TraceMonitor,
-    compute_metrics,
-    kl_divergence,
-    pmf_matrix,
-    symmetric_kl_divergence,
-)
-from .media import EnduranceRun, EnduranceTrace
-from .experiments import (
-    EnduranceExperimentResult,
-    FleetEnduranceResult,
-    alpha_sweep,
-    run_endurance_experiment,
-    run_fleet_endurance_experiment,
-)
+from __future__ import annotations
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "TraceFormatError",
-    "TraceStreamError",
-    "SimulationError",
-    "PipelineError",
-    "ModelError",
-    "NotFittedError",
-    "LabelingError",
-    "RecorderError",
-    "ExperimentError",
-    # configuration
-    "DetectorConfig",
-    "MonitorConfig",
-    "PlatformConfig",
-    "MediaConfig",
-    "PerturbationConfig",
-    "EnduranceConfig",
-    "load_config",
-    "save_config",
-    # trace substrate
-    "EventType",
-    "EventTypeRegistry",
-    "TraceEvent",
-    "TraceWindow",
-    "TraceStream",
-    "TraceColumns",
-    "ColumnarWindowSource",
-    "WindowBatch",
-    "batch_windows",
-    "read_trace",
-    "read_trace_columns",
-    "iter_window_batches",
-    "write_trace",
-    # analysis
-    "Pmf",
-    "pmf_matrix",
-    "kl_divergence",
-    "symmetric_kl_divergence",
-    "LocalOutlierFactor",
-    "ReferenceModel",
-    "ReferenceDatabase",
-    "OnlineAnomalyDetector",
-    "TraceMonitor",
-    "MonitorResult",
-    "ShardedTraceMonitor",
-    "FleetResult",
-    "SelectiveTraceRecorder",
-    "compute_metrics",
-    # media / experiments
-    "EnduranceRun",
-    "EnduranceTrace",
-    "EnduranceExperimentResult",
-    "FleetEnduranceResult",
-    "run_endurance_experiment",
-    "run_fleet_endurance_experiment",
-    "alpha_sweep",
-]
+from .lazy import lazy_exports
+from .version import __version__
+
+#: Public names by defining module or subpackage, imported on first use
+#: (PEP 562): ``import repro`` stays cheap, and so does every CLI start,
+#: which loads only what its subcommand uses.
+_EXPORTS = {
+    "errors": (
+        "ReproError", "ConfigurationError", "TraceFormatError", "TraceStreamError",
+        "SimulationError", "PipelineError", "ModelError", "NotFittedError",
+        "LabelingError", "RecorderError", "ExperimentError",
+    ),
+    "config": (
+        "DetectorConfig", "MonitorConfig", "PlatformConfig", "MediaConfig",
+        "PerturbationConfig", "EnduranceConfig", "load_config", "save_config",
+    ),
+    "trace": (
+        "EventType", "EventTypeRegistry", "TraceEvent", "TraceWindow", "TraceStream",
+        "TraceColumns", "ColumnarWindowSource", "WindowBatch", "batch_windows",
+        "read_trace", "read_trace_columns", "iter_window_batches", "write_trace",
+    ),
+    "analysis": (
+        "Pmf", "pmf_matrix", "kl_divergence", "symmetric_kl_divergence",
+        "LocalOutlierFactor", "ReferenceModel", "ReferenceDatabase",
+        "OnlineAnomalyDetector", "TraceMonitor", "MonitorResult",
+        "ShardedTraceMonitor", "FleetResult", "SelectiveTraceRecorder",
+        "compute_metrics",
+    ),
+    "media": ("EnduranceRun", "EnduranceTrace"),
+    "experiments": (
+        "EnduranceExperimentResult", "FleetEnduranceResult",
+        "run_endurance_experiment", "run_fleet_endurance_experiment", "alpha_sweep",
+    ),
+}
+_names, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = ["__version__", *_names]

@@ -13,76 +13,36 @@ monitoring loop; :mod:`~repro.analysis.labeling` and
 paper's conclusion.
 """
 
-from .pmf import Pmf, merge_counts, pmf_from_counts, pmf_from_window, pmf_matrix
-from .divergence import (
-    kl_divergence,
-    symmetric_kl_divergence,
-    kl_divergence_matrix,
-    symmetric_kl_divergence_matrix,
-    js_divergence,
-    total_variation_distance,
-)
-from .knn import BruteForceKnn, KnnIndex
-from .lof import LocalOutlierFactor
-from .model import ReferenceModel
-from .refdb import ReferenceDatabase
-from .detector import DetectionOutcome, OnlineAnomalyDetector, WindowDecision
-from .recorder import FullTraceRecorder, RecorderReport, SelectiveTraceRecorder
-from .monitor import MonitorResult, TraceMonitor
-from .fleet import FleetResult, ShardedTraceMonitor
-from .labeling import GroundTruth, WindowLabel, estimate_impact_delays, label_windows
-from .metrics import ConfusionCounts, DetectionMetrics, compute_metrics, reduction_factor
-from .baselines import (
-    BaselineResult,
-    KlOnlyDetectorBaseline,
-    PeriodicSamplingBaseline,
-    RandomSamplingBaseline,
-    ZScoreBaseline,
-    run_baseline,
-)
-from .periodic import PeriodicityCompactor, estimate_dominant_period
+from __future__ import annotations
 
-__all__ = [
-    "Pmf",
-    "pmf_from_counts",
-    "pmf_from_window",
-    "pmf_matrix",
-    "merge_counts",
-    "kl_divergence",
-    "symmetric_kl_divergence",
-    "kl_divergence_matrix",
-    "symmetric_kl_divergence_matrix",
-    "js_divergence",
-    "total_variation_distance",
-    "KnnIndex",
-    "BruteForceKnn",
-    "LocalOutlierFactor",
-    "ReferenceModel",
-    "ReferenceDatabase",
-    "OnlineAnomalyDetector",
-    "WindowDecision",
-    "DetectionOutcome",
-    "SelectiveTraceRecorder",
-    "FullTraceRecorder",
-    "RecorderReport",
-    "TraceMonitor",
-    "MonitorResult",
-    "FleetResult",
-    "ShardedTraceMonitor",
-    "GroundTruth",
-    "WindowLabel",
-    "estimate_impact_delays",
-    "label_windows",
-    "ConfusionCounts",
-    "DetectionMetrics",
-    "compute_metrics",
-    "reduction_factor",
-    "BaselineResult",
-    "RandomSamplingBaseline",
-    "PeriodicSamplingBaseline",
-    "ZScoreBaseline",
-    "KlOnlyDetectorBaseline",
-    "run_baseline",
-    "PeriodicityCompactor",
-    "estimate_dominant_period",
-]
+from ..lazy import lazy_exports
+
+#: Public names by defining module, imported on first use (PEP 562): a
+#: caller pays only for the modules whose names it touches.
+_EXPORTS = {
+    "pmf": ("Pmf", "merge_counts", "pmf_from_counts", "pmf_from_window", "pmf_matrix"),
+    "divergence": (
+        "kl_divergence", "symmetric_kl_divergence", "kl_divergence_matrix",
+        "symmetric_kl_divergence_matrix", "js_divergence", "total_variation_distance",
+    ),
+    "knn": ("BruteForceKnn", "KnnIndex"),
+    "lof": ("LocalOutlierFactor",),
+    "model": ("ReferenceModel",),
+    "refdb": ("ReferenceDatabase",),
+    "detector": ("DetectionOutcome", "OnlineAnomalyDetector", "WindowDecision"),
+    "recorder": ("FullTraceRecorder", "RecorderReport", "SelectiveTraceRecorder"),
+    "monitor": ("MonitorResult", "TraceMonitor"),
+    "fleet": ("FleetResult", "ShardedTraceMonitor"),
+    "labeling": (
+        "GroundTruth", "WindowLabel", "estimate_impact_delays", "label_windows",
+    ),
+    "metrics": (
+        "ConfusionCounts", "DetectionMetrics", "compute_metrics", "reduction_factor",
+    ),
+    "baselines": (
+        "BaselineResult", "KlOnlyDetectorBaseline", "PeriodicSamplingBaseline",
+        "RandomSamplingBaseline", "ZScoreBaseline", "run_baseline",
+    ),
+    "periodic": ("PeriodicityCompactor", "estimate_dominant_period"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -8,15 +8,20 @@ optionally persist the recorded windows to a JSON-lines file.  An optional
 pre/post *context* of non-anomalous windows can be recorded around each
 anomaly so post-mortem analysis keeps some surrounding activity.
 
-Recording used to dominate anomaly-heavy monitored runs because every
-recorded window cost one Python write call per event.  The recorder now
-batches its IO: recorded windows are encoded as one JSON-lines block
-(:meth:`~repro.trace.codec.JsonTraceCodec.encode_events`) and accumulated in
-a write buffer that is flushed to the file handle only every
-``io_buffer_bytes`` bytes.  :meth:`SelectiveTraceRecorder.observe_batch` is
-the batched entry point the monitor's vectorized plane drives; it replays
-the exact per-window context semantics of :meth:`observe`, so batched and
-serial recording are decision- and byte-identical.
+:meth:`SelectiveTraceRecorder.observe_batch` is the entry point the
+monitor's vectorized plane drives (:meth:`~SelectiveTraceRecorder.observe`
+is a batch of one).  It first replays the per-window context semantics to
+decide which windows the batch writes, in write order (pre-context windows
+can come from an earlier batch), then encodes them all in one pass.
+Windows decoded from a binary trace are encoded straight from their column
+spans (:func:`~repro.trace.recording.encode_window_spans`), with no
+:class:`~repro.trace.event.TraceEvent` per event; every other window, and
+one whose raw source bytes are not provably canonical, is encoded from its
+events by the codecs, which reproduces the same bytes (and raises the same
+errors for corrupt sources).  Each window's block is then appended
+to a write buffer that is flushed to the file handle every
+``io_buffer_bytes`` bytes, so the flush points and write calls depend on
+the windows only, not on how they were encoded or batched.
 
 :class:`FullTraceRecorder` is the trivial "record everything" baseline the
 reduction factor is measured against.
@@ -32,7 +37,10 @@ from typing import Deque, Iterable, Sequence
 
 from ..errors import RecorderError
 from ..testing.faults import fault_point
+from ..trace.batch import LazyWindowRef
 from ..trace.codec import BinaryTraceCodec, JsonTraceCodec, encoded_trace_size
+from ..trace.event import TraceEvent
+from ..trace.recording import encode_window_spans
 from ..trace.window import TraceWindow
 
 __all__ = [
@@ -219,11 +227,8 @@ class SelectiveTraceRecorder:
         encoding pass.  Returns ``True`` when the window was written to
         storage.
         """
-        if self._closed:
-            raise RecorderError("recorder has already been closed")
-        if window_bytes is None:
-            window_bytes = encoded_trace_size(window.events)
-        return self._observe_one(window, record, window_bytes)
+        sizes = None if window_bytes is None else [window_bytes]
+        return self.observe_batch([window], [record], sizes)[0]
 
     def observe_batch(
         self,
@@ -236,8 +241,9 @@ class SelectiveTraceRecorder:
         Semantically identical to calling :meth:`observe` per window in
         order (same context handling, same accounting, same recorded file
         contents); the batched entry point amortises the per-window call
-        overhead and lets the write buffer coalesce the file IO of several
-        recorded windows.  Returns one ``wrote`` flag per window.
+        overhead, encodes every window it writes in one pass and lets the
+        write buffer coalesce the file IO of several recorded windows.
+        Returns one ``wrote`` flag per window.
         """
         if self._closed:
             raise RecorderError("recorder has already been closed")
@@ -257,66 +263,92 @@ class SelectiveTraceRecorder:
                     f"window_bytes length {len(sizes)} does not match "
                     f"window count {len(windows)}"
                 )
-        observe_one = self._observe_one
-        return [
-            observe_one(window, flag, size)
-            for window, flag, size in zip(windows, flags, sizes)
-        ]
-
-    def _observe_one(
-        self, window: TraceWindow, record: bool, window_bytes: int
-    ) -> bool:
-        self._total_windows += 1
-        self._total_events += len(window)
-        self._total_bytes += window_bytes
-
-        wrote = False
-        if record:
-            # Flush the pre-context first so the saved trace stays ordered.
-            if self.context_windows > 0:
-                while self._pre_context:
-                    self._write(*self._pre_context.popleft())
-            self._write(window, window_bytes)
-            self._post_context_remaining = self.context_windows
-            wrote = True
-        elif self._post_context_remaining > 0:
-            self._write(window, window_bytes)
-            self._post_context_remaining -= 1
-            wrote = True
-        elif self.context_windows > 0:
-            self._pre_context.append((window, window_bytes))
+        # Decide what each window writes (context included) first, so the
+        # written windows are encoded in one pass, in write order.
+        self._total_windows += len(windows)
+        self._total_events += sum(map(len, windows))
+        self._total_bytes += sum(sizes)
+        context = self.context_windows
+        pre_context = self._pre_context
+        post_context = self._post_context_remaining
+        writes: list[tuple[TraceWindow, int]] = []
+        wrote = []
+        for window, flag, size in zip(windows, flags, sizes):
+            if flag:
+                # Flush the pre-context first so the saved trace stays ordered.
+                writes.extend(pre_context)
+                pre_context.clear()
+                writes.append((window, size))
+                post_context = context
+            elif post_context > 0:
+                writes.append((window, size))
+                post_context -= 1
+            else:
+                if context > 0:
+                    pre_context.append((window, size))
+                wrote.append(False)
+                continue
+            wrote.append(True)
+        self._post_context_remaining = post_context
+        blocks = self._encode([window for window, _ in writes])
+        for (window, size), block in zip(writes, blocks):
+            self._write(window, size, block)
         return wrote
 
-    def _write(self, window: TraceWindow, window_bytes: int) -> None:
-        # The batched ingest plane hands over lazy window references; the
-        # events are materialised here, i.e. only for windows actually
-        # written (or kept) — accounting-only windows stay columnar.
-        resolve = getattr(window, "resolve", None)
-        if resolve is not None:
-            window = resolve()
+    def _encode(self, windows: list[TraceWindow]) -> list[bytes | str | None]:
+        """Encoded blocks of ``windows``; ``None`` where the object path must
+        encode.
+
+        Lazy references into a decoded binary trace are encoded together
+        from their column spans
+        (:func:`~repro.trace.recording.encode_window_spans`); every other
+        window, and one whose source bytes are not provably canonical, is
+        left to :meth:`_write`.  Encoding runs without an output file too, so a
+        corrupt recorded window raises the same error either way.
+        """
+        spans = [
+            window.spans() if isinstance(window, LazyWindowRef) else None
+            for window in windows
+        ]
+        if not any(span is not None for span in spans):
+            return [None] * len(windows)
+        blob, bounds, encoded = encode_window_spans(spans, self.recording_format)
+        text: bytes | str = blob if self.recording_format == "binary" else blob.decode("ascii")
+        return [
+            text[start:stop] if ok else None
+            for start, stop, ok in zip(bounds[:-1].tolist(), bounds[1:].tolist(), encoded.tolist())
+        ]
+
+    def _write(
+        self, window: TraceWindow, window_bytes: int, block: bytes | str | None
+    ) -> None:
+        # Lazy window references are materialised only when the recorder
+        # keeps the window or has to encode it from objects.
+        if isinstance(window, LazyWindowRef) and (block is None or self.keep_events):
+            window = window.resolve()
         self._recorded_indices.append(window.index)
         self._recorded_events += len(window)
         self._recorded_bytes += window_bytes
         if self.keep_events:
             self._recorded_windows.append(window)
         if self._handle is not None:
-            if self.recording_format == "binary":
-                # One self-describing segment per window: fresh registry,
-                # deltas restarting at the window — the body bytes equal the
-                # accounted window_bytes by construction.  Empty windows
-                # write nothing, mirroring the JSON empty-block skip.
-                block = (
-                    BinaryTraceCodec().encode(window.events)
-                    if window.events
-                    else b""
-                )
-            else:
-                block = self._codec.encode_events(window.events)
+            if block is None:
+                block = self._encode_events(window.events)
             if block:
                 self._write_buffer.append(block)
                 self._buffered_chars += len(block)
                 if self._buffered_chars >= self.io_buffer_bytes:
                     self.flush()
+
+    def _encode_events(self, events: Sequence[TraceEvent]) -> bytes | str:
+        """The object path: one window's block from its events."""
+        if self.recording_format == "binary":
+            # One self-describing segment per window: fresh registry,
+            # deltas restarting at the window — the body bytes equal the
+            # accounted window_bytes by construction.  Empty windows write
+            # nothing, mirroring the JSON empty-block skip.
+            return BinaryTraceCodec().encode(events) if events else b""
+        return self._codec.encode_events(events)
 
     def flush(self) -> None:
         """Write the buffered encoded windows to the output file."""

@@ -41,16 +41,11 @@ import json
 import sys
 from pathlib import Path
 
-from ..analysis.fleet import ShardedTraceMonitor
 from ..analysis.model import ReferenceModel
 from ..analysis.monitor import TraceMonitor
 from ..config import DetectorConfig, EnduranceConfig, MonitorConfig
 from ..errors import ConfigurationError, ReproError
-from ..experiments.endurance import run_endurance_experiment
-from ..experiments.report import render_alpha_sweep, render_headline
-from ..experiments.sweep import alpha_sweep
 from ..logging_util import configure_logging
-from ..media.app import EnduranceRun
 from ..trace.batch import WindowBatch
 from ..trace.columns import TraceColumns
 from ..trace.event import EventTypeRegistry
@@ -303,6 +298,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = EnduranceConfig.scaled_paper_setup(
         duration_s=args.duration, reference_s=args.reference_s, seed=args.seed
     )
+    from ..media.app import EnduranceRun
+
     trace = EnduranceRun(config).run()
     write_trace(trace.events, args.output)
     if args.qos is not None:
@@ -503,6 +500,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     )
     registry = EventTypeRegistry.with_default_types()
     labels = _shard_labels(args.traces)
+    from ..analysis.fleet import ShardedTraceMonitor
+
     fleet = ShardedTraceMonitor(detector_config, monitor_config, registry)
     if args.ingest == "columnar":
         # Default path: each trace is decoded straight to flat arrays; with
@@ -581,6 +580,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from ..experiments.endurance import run_endurance_experiment
+    from ..experiments.report import render_headline
+
     config = EnduranceConfig.scaled_paper_setup(
         duration_s=args.duration, reference_s=args.reference_s, seed=args.seed
     )
@@ -597,6 +599,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from ..experiments.endurance import run_endurance_experiment
+    from ..experiments.report import render_alpha_sweep
+    from ..experiments.sweep import alpha_sweep
+
     alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     config = EnduranceConfig.scaled_paper_setup(
         duration_s=args.duration, reference_s=args.reference_s, seed=args.seed

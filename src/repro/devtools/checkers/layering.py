@@ -2,15 +2,16 @@
 
 The package layers, leaf-ward to root-ward::
 
-    errors, version, logging_util          (leaves: import nothing of ours)
+    errors, version, logging_util, lazy    (leaves: import nothing of ours)
     config                                  -> errors
     testing                                 -> errors  (fault-injection hooks)
     trace                                   -> errors, config, logging_util,
-                                               testing
+                                               testing, lazy
     platform                                -> + trace
     media                                   -> + platform
     analysis                                -> errors, config, trace,
-                                               media, logging_util, testing
+                                               media, logging_util, testing,
+                                               lazy
     experiments                             -> everything below cli
     devtools                                -> errors only
     cli                                     -> everything (except devtools)
@@ -36,13 +37,14 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "errors": frozenset(),
     "version": frozenset(),
     "logging_util": frozenset(),
+    "lazy": frozenset(),
     "config": frozenset({"errors"}),
     "testing": frozenset({"errors"}),
-    "trace": frozenset({"errors", "config", "logging_util", "testing"}),
+    "trace": frozenset({"errors", "config", "logging_util", "testing", "lazy"}),
     "platform": frozenset({"errors", "config", "logging_util", "trace"}),
     "media": frozenset({"errors", "config", "logging_util", "trace", "platform"}),
     "analysis": frozenset(
-        {"errors", "config", "logging_util", "trace", "media", "testing"}
+        {"errors", "config", "logging_util", "trace", "media", "testing", "lazy"}
     ),
     "experiments": frozenset(
         {"errors", "config", "logging_util", "trace", "platform", "media", "analysis"}

@@ -25,12 +25,13 @@ for the recorder.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import TraceFormatError, TraceStreamError
 from .codec import encoded_window_sizes
+from .columns import Span, TraceColumns, span_events
 from .event import EventTypeRegistry, TraceEvent
 from .window import TraceWindow
 
@@ -58,10 +59,12 @@ class WindowBatch:
         size when the batch was built).  Defaults to ``codes.max() + 1``.
     windows:
         Optional source :class:`TraceWindow` objects for round-tripping.
+    window_sizes:
+        Optional precomputed binary-encoded size of each window.
     """
 
     __slots__ = ("codes", "offsets", "indices", "start_us", "end_us", "dims",
-                 "dimension", "_windows", "_sizes", "_factory", "_lazy_cache")
+                 "dimension", "_windows", "_sizes", "_sources", "_lazy_cache")
 
     def __init__(
         self,
@@ -74,7 +77,6 @@ class WindowBatch:
         dimension: int | None = None,
         windows: Sequence[TraceWindow] | None = None,
         window_sizes: np.ndarray | None = None,
-        window_factory: Callable[[int], TraceWindow] | None = None,
     ) -> None:
         self.codes = np.asarray(codes, dtype=np.int32)
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -127,12 +129,48 @@ class WindowBatch:
                     f"window count {n}"
                 )
         self._sizes = window_sizes
-        self._factory = window_factory
+        self._sources: tuple[tuple[int, TraceColumns], ...] | None = None
         self._lazy_cache: list[TraceWindow | None] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
+    @classmethod
+    def _from_trusted(
+        cls,
+        codes: np.ndarray,
+        offsets: np.ndarray,
+        indices: np.ndarray,
+        start_us: np.ndarray,
+        end_us: np.ndarray,
+        dims: np.ndarray,
+        dimension: int,
+        window_sizes: np.ndarray,
+        sources: tuple[tuple[int, TraceColumns], ...],
+    ) -> "WindowBatch":
+        """Wrap arrays the columnar batch builder made, without re-checking.
+
+        The arrays must already have the dtypes and invariants the public
+        constructor enforces (``int32`` codes below ``dimension``, ``int64``
+        everything else, offsets from 0 to ``len(codes)``).  ``sources``
+        is the span handle: ``(start, columns)`` pairs placing event 0 of
+        each ``columns`` at batch event ``start``, so a window's events are
+        the overlapping column spans (:meth:`window_spans`).
+        """
+        batch = object.__new__(cls)
+        batch.codes = codes
+        batch.offsets = offsets
+        batch.indices = indices
+        batch.start_us = start_us
+        batch.end_us = end_us
+        batch.dims = dims
+        batch.dimension = dimension
+        batch._windows = None
+        batch._sizes = window_sizes
+        batch._sources = sources
+        batch._lazy_cache = None
+        return batch
+
     @classmethod
     def from_windows(
         cls,
@@ -227,18 +265,18 @@ class WindowBatch:
     @property
     def can_materialize(self) -> bool:
         """Whether windows can be produced (kept, or lazily constructible)."""
-        return self._windows is not None or self._factory is not None
+        return self._windows is not None or self._sources is not None
 
     def to_windows(self) -> tuple[TraceWindow, ...]:
         """Return the source :class:`TraceWindow` objects, in order.
 
-        Batches built by the columnar ingest plane carry a window *factory*
-        instead of pre-built windows; for those every window is materialised
-        (and cached) on the first call.
+        Batches built by the columnar ingest plane carry column spans
+        instead of pre-built windows; for those every window is
+        materialised (and cached) on the first call.
         """
         if self._windows is not None:
             return self._windows
-        if self._factory is not None:
+        if self._sources is not None:
             return tuple(self.window(position) for position in range(len(self)))
         raise TraceStreamError(
             "this WindowBatch was built without its source windows "
@@ -249,15 +287,38 @@ class WindowBatch:
         """Return the source window at ``position`` (lazily materialised)."""
         if self._windows is not None:
             return self._windows[position]
-        if self._factory is None:
+        if self._sources is None:
             return self.to_windows()[position]  # raises the standard error
         if self._lazy_cache is None:
             self._lazy_cache = [None] * len(self)
         window = self._lazy_cache[position]
         if window is None:
-            window = self._factory(position)
+            window = TraceWindow(
+                index=int(self.indices[position]),
+                start_us=int(self.start_us[position]),
+                end_us=int(self.end_us[position]),
+                events=span_events(self.window_spans(position)),
+            )
             self._lazy_cache[position] = window
         return window
+
+    def window_spans(self, position: int) -> list[Span]:
+        """The column spans holding the window at ``position``'s events.
+
+        In event order; more than one when the window straddles decoded
+        chunks.  Only batches built by the columnar ingest plane have them.
+        """
+        if self._sources is None:
+            raise TraceStreamError("this WindowBatch holds no column spans")
+        lo = int(self.offsets[position])
+        hi = int(self.offsets[position + 1])
+        spans = []
+        for start, columns in self._sources:
+            first = max(lo - start, 0)
+            stop = min(hi - start, len(columns))
+            if first < stop:
+                spans.append((columns, first, stop))
+        return spans
 
     def window_sizes(self) -> list[int]:
         """Binary-encoded byte size of each window, in window order.
@@ -283,9 +344,19 @@ class WindowBatch:
         """
         if self._windows is not None:
             return self._windows
-        if self._factory is None:
+        if self._sources is None:
             return self.to_windows()  # raises the standard error
-        return tuple(LazyWindowRef(self, position) for position in range(len(self)))
+        return tuple(
+            LazyWindowRef(self, *fields)
+            for fields in enumerate(
+                zip(
+                    self.indices.tolist(),
+                    self.start_us.tolist(),
+                    self.end_us.tolist(),
+                    np.diff(self.offsets).tolist(),
+                )
+            )
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -300,19 +371,21 @@ class LazyWindowRef:
     Duck-types the slice of the :class:`~repro.trace.window.TraceWindow`
     API the recorder touches for *every* window (``index``, ``start_us`` /
     ``end_us``, ``len()``) while producing the actual events only when
-    ``.events`` is read or :meth:`resolve` is called — which the recorder
-    does solely for windows it writes to storage (or keeps in memory).
+    ``.events`` is read or :meth:`resolve` is called.  The recorder
+    encodes the windows it writes from :meth:`spans` and resolves only
+    those it keeps in memory or cannot encode from columns.
     """
 
     __slots__ = ("_batch", "position", "index", "start_us", "end_us", "_n_events")
 
-    def __init__(self, batch: WindowBatch, position: int) -> None:
+    def __init__(
+        self, batch: WindowBatch, position: int, fields: tuple[int, int, int, int]
+    ) -> None:
         self._batch = batch
         self.position = position
-        self.index = int(batch.indices[position])
-        self.start_us = int(batch.start_us[position])
-        self.end_us = int(batch.end_us[position])
-        self._n_events = int(batch.offsets[position + 1] - batch.offsets[position])
+        # The window's index, extent and event count, read off the batch
+        # arrays by WindowBatch.window_refs.
+        self.index, self.start_us, self.end_us, self._n_events = fields
 
     def __len__(self) -> int:
         return self._n_events
@@ -325,6 +398,10 @@ class LazyWindowRef:
     def resolve(self) -> TraceWindow:
         """Materialise (and cache, batch-side) the full window object."""
         return self._batch.window(self.position)
+
+    def spans(self) -> list[Span]:
+        """The column spans holding the window's events (nothing decoded)."""
+        return self._batch.window_spans(self.position)
 
     @property
     def events(self) -> "tuple[TraceEvent, ...]":

@@ -35,7 +35,8 @@ from __future__ import annotations
 import codecs
 import json
 import struct
-from typing import Any, Callable, Iterable
+from itertools import chain
+from typing import Any, Callable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -69,10 +70,12 @@ _PARTIAL_LINE_HINT = (
 __all__ = [
     "BinaryColumnsDecoder",
     "JsonColumnsDecoder",
+    "Span",
     "TraceColumns",
     "decode_binary_columns",
     "decode_json_columns",
     "encoded_window_sizes_columns",
+    "span_events",
     "varint_size_array",
 ]
 
@@ -308,6 +311,19 @@ class TraceColumns:
             f"TraceColumns(n_events={len(self)}, "
             f"n_types={len(self.type_names)}, source={self._source_kind!r})"
         )
+
+
+#: ``(columns, start, stop)``: events ``start <= i < stop`` of ``columns`` —
+#: one piece of a window whose events may straddle decoded chunks.
+Span = Tuple[TraceColumns, int, int]
+
+
+def span_events(spans: Sequence[Span]) -> tuple[TraceEvent, ...]:
+    """Materialise the events of ``spans``, in order."""
+    if len(spans) == 1:
+        columns, start, stop = spans[0]
+        return columns.events(start, stop)
+    return tuple(chain.from_iterable(columns.events(a, b) for columns, a, b in spans))
 
 
 def _task_field_size(task: str, cache: dict[str, int]) -> int:

@@ -539,7 +539,7 @@ def batches_from_layout(
     for w0 in range(first_window, n_windows, batch_size):
         w1 = min(w0 + batch_size, n_windows)
         yield _build_column_batch(
-            columns, layout, registry, mapper, w0, w1, columns.events
+            columns, layout, registry, mapper, w0, w1, ((0, columns),)
         )
 
 
@@ -583,14 +583,16 @@ def _build_column_batch(
     mapper: _ColumnCodeMapper,
     w0: int,
     w1: int,
-    events_of: Callable[[int, int], tuple[TraceEvent, ...]],
+    sources: Sequence[tuple[int, TraceColumns]],
 ) -> WindowBatch:
     """Windows ``w0 <= w < w1`` of a layout as one lazy columnar batch.
 
-    ``layout`` offsets index ``columns``; ``events_of(start, stop)``
-    materialises events ``start <= i < stop`` in those same coordinates
-    (``columns.events`` for a whole trace, a chunk-chain lookup for a
-    stream's buffer) and is only called for windows that are resolved.
+    ``layout`` offsets index ``columns``.  ``sources`` is the span handle in
+    those same coordinates: ``(start, chunk)`` pairs placing event 0 of
+    each decoded ``chunk`` at ``start`` (``((0, columns),)`` for a whole
+    trace, the retained chunks for a stream's buffer).  The batch keeps it
+    so the recorder can encode windows straight from the chunks, and
+    events are materialised from it only for windows that are resolved.
     """
     offsets = layout.event_offsets[w0 : w1 + 1]
     lo, hi = int(offsets[0]), int(offsets[-1])
@@ -603,30 +605,16 @@ def _build_column_batch(
         dims = dimension_before + np.searchsorted(growth, offsets[1:], side="left")
     else:
         dims = np.full(w1 - w0, dimension_before, dtype=np.int64)
-    sizes = encoded_window_sizes_columns(columns, offsets)
-    indices = layout.indices[w0:w1]
-    starts = layout.start_us[w0:w1]
-    ends = layout.end_us[w0:w1]
-
-    def factory(position: int) -> TraceWindow:
-        return TraceWindow(
-            index=int(indices[position]),
-            start_us=int(starts[position]),
-            end_us=int(ends[position]),
-            events=events_of(int(offsets[position]), int(offsets[position + 1])),
-        )
-
-    return WindowBatch(
+    return WindowBatch._from_trusted(
         codes=codes,
         offsets=offsets - lo,
-        indices=indices,
-        start_us=starts,
-        end_us=ends,
+        indices=layout.indices[w0:w1],
+        start_us=layout.start_us[w0:w1],
+        end_us=layout.end_us[w0:w1],
         dims=dims,
         dimension=len(registry),
-        windows=None,
-        window_sizes=sizes,
-        window_factory=factory,
+        window_sizes=encoded_window_sizes_columns(columns, offsets),
+        sources=tuple((start - lo, chunk) for start, chunk in sources),
     )
 
 

@@ -34,10 +34,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain as _chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -249,28 +247,6 @@ class StreamStats:
     #: streams, 1-based line numbers for JSON-lines streams.
     corrupt_records: int = 0
     corrupt_offsets: "tuple[int, ...]" = ()
-
-
-def _chain_events(
-    chunks: Sequence[Tuple[int, TraceColumns]], start: int, stop: int
-) -> tuple:
-    """Materialise events ``start <= i < stop`` across retained chunks."""
-    if start >= stop:
-        return ()
-    parts = []
-    for chunk_start, chunk in chunks:
-        chunk_end = chunk_start + len(chunk)
-        if chunk_end <= start or chunk_start >= stop:
-            continue
-        parts.append(
-            chunk.events(
-                max(start, chunk_start) - chunk_start,
-                min(stop, chunk_end) - chunk_start,
-            )
-        )
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(_chain.from_iterable(parts))
 
 
 def _windows(
@@ -729,7 +705,7 @@ class StreamingWindowSource:
             mapper,
             w0,
             w1,
-            self._events_of(int(offsets[w0]), int(offsets[w1])),
+            self._sources(int(offsets[w0]), int(offsets[w1])),
         )
         self._hand_over(w1)
         self.stats.batches += 1
@@ -749,14 +725,13 @@ class StreamingWindowSource:
             if start + len(chunk) > done
         ]
 
-    def _events_of(self, lo: int, hi: int) -> Callable[[int, int], tuple]:
-        """Event materialiser for buffer positions ``lo <= i < hi``."""
+    def _sources(self, lo: int, hi: int) -> list[Tuple[int, TraceColumns]]:
+        """The retained chunks holding buffer positions ``lo <= i < hi``,
+        each with the buffer position of its first event (the batch's span
+        handle; see :func:`~repro.trace.stream._build_column_batch`)."""
         base = self._base
-        span = [
+        return [
             (start - base, chunk)
             for start, chunk in self._chunks
             if start - base < hi and start - base + len(chunk) > lo
         ]
-        if len(span) == 1 and span[0][0] == 0:
-            return span[0][1].events
-        return partial(_chain_events, span)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,3 +369,39 @@ class TestIngestFlags:
             assert (dir_col / f"{shard}.jsonl").read_bytes() == (
                 dir_obj / f"{shard}.jsonl"
             ).read_bytes()
+
+
+def test_module_entry_point_runs_main_once():
+    """``python -m repro.cli.main`` executes the module once: the package
+    must not import ``repro.cli.main`` before runpy runs it as __main__."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.main", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert "usage:" in result.stdout
+
+
+def test_cli_start_imports_only_the_monitoring_path():
+    """``learn``/``monitor`` need neither the fleet, the experiments nor the
+    simulator; the CLI module imports them inside their subcommands."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import sys, repro.cli.main; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "repro.analysis.monitor" in loaded
+    for heavy in ("repro.analysis.fleet", "repro.experiments", "repro.media", "repro.platform"):
+        assert heavy not in loaded
