@@ -65,8 +65,8 @@ def timing_floor(
 def timing_floor_failures(stats: dict, cpu_count: int) -> list[str]:
     """Floors missed by the ratios the benches recorded in ``extra_info``.
 
-    * ``timing_floor`` (see :func:`timing_floor`): the recorded value must
-      reach its ``min`` / stay within its ``max``.  Used by the batched
+    * ``timing_floor`` (see :func:`timing_floor`, or a list of them): each
+      recorded value must reach its ``min`` / stay within its ``max``.  Used by the batched
       scoring speedup, the fleet speedup over sequential monitoring, the
       columnar ingest speedup, the streaming ingest overhead and the
       isolate policy's wall time over ``abort`` on a fault-free fleet.
@@ -80,8 +80,8 @@ def timing_floor_failures(stats: dict, cpu_count: int) -> list[str]:
     for bench in stats.get("benchmarks", []):
         info = bench.get("extra_info", {})
         name = bench.get("fullname", bench.get("name", "?"))
-        floor = info.get("timing_floor")
-        if floor is not None:
+        floors = info.get("timing_floor") or []
+        for floor in floors if isinstance(floors, list) else [floors]:
             value = floor["value"]
             if "min" in floor and value < floor["min"]:
                 failures.append(

@@ -1098,6 +1098,17 @@ class JsonColumnsDecoder:
                         f"event field outside the int64 range at line "
                         f"{line_no}: {record!r}"
                     )
+                try:
+                    task_field = _task_field_size(task, task_cache)
+                except UnicodeEncodeError as exc:
+                    # A lone surrogate escape (\ud800 in the JSON text)
+                    # parses but has no UTF-8 encoding.
+                    if skip:
+                        corrupt.append(line_no)
+                        continue
+                    raise TraceFormatError(
+                        f"task not encodable as UTF-8 at line {line_no}: {record!r}"
+                    ) from exc
                 code = name_codes.get(etype)
                 if code is None:
                     code = len(names)
@@ -1106,7 +1117,7 @@ class JsonColumnsDecoder:
                 timestamps.append(timestamp)
                 codes.append(code)
                 cores.append(core)
-                task_fields.append(_task_field_size(task, task_cache))
+                task_fields.append(task_field)
                 payload_lengths.append(len(encode(args)) if args else 0)
                 if len(line) == len(raw):
                     line_starts.append(start)

@@ -30,7 +30,6 @@ payload), and a JSON-lines record would need a costlier proof of its own.
 from __future__ import annotations
 
 import json
-import struct
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional, Sequence
 
@@ -47,9 +46,16 @@ from .columns import (
 
 __all__ = ["encode_window_spans"]
 
-#: ``json.dumps(header, sort_keys=True)`` with one reused encoder: the
-#: segment header :meth:`~repro.trace.codec.BinaryTraceCodec.encode` writes.
-_encode_header = json.JSONEncoder(sort_keys=True).encode
+#: The constant pieces of a segment header, ``json.dumps(header,
+#: sort_keys=True)`` as :meth:`~repro.trace.codec.BinaryTraceCodec.encode`
+#: writes it: ``{"count": N, "registry": {"name": code, ...}, "version": V}``.
+_HEADER_PIECES = [
+    b'{"count": ',
+    b', "registry": {',
+    b", ",
+    f'}}, "version": {_VERSION}}}'.encode("ascii"),
+]
+_MAGIC_BYTES = np.frombuffer(_MAGIC, dtype=np.uint8)
 
 #: What precedes each element of a JSON array text: ``[`` or ``,``.
 _ARRAY_MARKS = np.frombuffer(b"[,", dtype=np.uint8)
@@ -381,6 +387,68 @@ def _varints(pool: _Pool, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base + width * np.arange(len(values), dtype=np.int64), lengths
 
 
+def _decimals(pool: _Pool, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add each non-negative value's decimal digits to ``pool``; return
+    their starts and lengths."""
+    digits = values.astype("S19")
+    base = pool.add(digits.view(np.uint8))
+    return (
+        base + 19 * np.arange(len(values), dtype=np.int64),
+        np.searchsorted(_POW10, values, side="right") + 1,
+    )
+
+
+def _segment_headers(
+    names: list[str], types: np.ndarray, sizes: np.ndarray, counts: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """Each window's segment header, with its magic and length prefix.
+
+    Window ``w``'s registry is the next ``sizes[w]`` run-local type ids of
+    ``types``, in code order, and ``counts[w]`` its record count.  The
+    codec's ``sort_keys`` orders a registry by raw name, so the entries are
+    sorted by a run-wide rank of the raw names and laid out from escaped,
+    quoted name fragments.  Returns the headers end to end and their lengths.
+    """
+    pool = _Pool()
+    piece_starts, piece_lengths = _table(pool, _HEADER_PIECES)
+    n_windows = len(sizes)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    entry_window = np.repeat(np.arange(n_windows), sizes)
+    position = np.arange(len(types)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    order = np.lexsort((rank[types], entry_window))
+    name_starts, name_lengths = _table(
+        pool, [f"{encode_basestring_ascii(name)}: ".encode("ascii") for name in names]
+    )
+    code_starts, code_lengths = _decimals(pool, position[order])
+    count_starts, count_lengths = _decimals(pool, counts)
+    # Pieces per header: prefix, '{"count": ', count, ', "registry": {',
+    # three per entry (separator, name, code), then the closing piece.
+    per_header = 5 + 3 * sizes
+    base = np.cumsum(per_header) - per_header
+    starts = np.zeros(int(per_header.sum()), dtype=np.int64)
+    lengths = np.zeros(len(starts), dtype=np.int64)
+    starts[base + 1], lengths[base + 1] = piece_starts[0], piece_lengths[0]
+    starts[base + 2], lengths[base + 2] = count_starts, count_lengths
+    starts[base + 3], lengths[base + 3] = piece_starts[1], piece_lengths[1]
+    slots = base[entry_window] + 4 + 3 * position
+    starts[slots] = piece_starts[2]
+    lengths[slots] = np.where(position > 0, piece_lengths[2], 0)
+    sorted_types = types[order]
+    starts[slots + 1], lengths[slots + 1] = name_starts[sorted_types], name_lengths[sorted_types]
+    starts[slots + 2], lengths[slots + 2] = code_starts, code_lengths
+    tails = base + 4 + 3 * sizes
+    starts[tails], lengths[tails] = piece_starts[3], piece_lengths[3]
+    body_lengths = np.add.reduceat(lengths, base)
+    prefixes = np.empty((n_windows, 8), dtype=np.uint8)
+    prefixes[:, :4] = _MAGIC_BYTES
+    prefixes[:, 4:] = body_lengths.astype("<u4").view(np.uint8).reshape(n_windows, 4)
+    starts[base] = pool.add(prefixes) + 8 * np.arange(n_windows, dtype=np.int64)
+    lengths[base] = 8
+    blob, _ = pool.gather(starts[None, :], lengths[None, :])
+    return blob, body_lengths + 8
+
+
 def _assemble_binary(
     events: _RunEvents, keep: np.ndarray, deltas: np.ndarray, counts: np.ndarray
 ) -> tuple[bytes, np.ndarray]:
@@ -393,25 +461,17 @@ def _assemble_binary(
     window = events.window[keep]
     n = len(window)
     firsts = np.flatnonzero(np.diff(window, prepend=-1))
-    codes, registries = _window_codes(window, firsts, events.type_ids[keep], len(events.type_names))
+    codes, registry_types, registry_sizes = _window_codes(
+        window, firsts, events.type_ids[keep], len(events.type_names)
+    )
     pool = _Pool()
     starts = np.zeros((n, 7), dtype=np.int64)
     lengths = np.zeros((n, 7), dtype=np.int64)
-    # Column 0: the segment header, on each window's first record, encoded
-    # as the codec encodes it.
-    names = events.type_names
-    headers = []
-    for registry, count in zip(registries, counts[window[firsts]].tolist()):
-        header = _encode_header(
-            {
-                "version": _VERSION,
-                "count": count,
-                "registry": dict(zip([names[t] for t in registry], range(len(registry)))),
-            }
-        )
-        headers.append(_MAGIC + struct.pack("<I", len(header)) + header.encode("ascii"))
-    header_starts, header_lengths = _table(pool, headers)
-    starts[firsts, 0] = header_starts
+    # Column 0: the segment header, on each window's first record.
+    headers, header_lengths = _segment_headers(
+        events.type_names, registry_types, registry_sizes, counts[window[firsts]]
+    )
+    starts[firsts, 0] = pool.add(headers) + np.cumsum(header_lengths) - header_lengths
     lengths[firsts, 0] = header_lengths
     payload_lengths = events.payload_lengths[keep]
     varint_starts, varint_lengths = _varints(pool, np.concatenate((deltas, codes, payload_lengths)))
@@ -452,10 +512,7 @@ def _assemble_jsonl(events: _RunEvents, keep: np.ndarray) -> tuple[bytes, np.nda
     cores = events.cores[keep]
     starts[:, 2] = pool.add(_CORE_POOL) + _CORE_STARTS[cores]
     lengths[:, 2] = _CORE_LENGTHS[cores]
-    timestamps = events.timestamps[keep]
-    digits = timestamps.astype("S19")
-    starts[:, 3] = pool.add(digits.view(np.uint8)) + 19 * np.arange(n, dtype=np.int64)
-    lengths[:, 3] = np.searchsorted(_POW10, timestamps, side="right") + 1
+    starts[:, 3], lengths[:, 3] = _decimals(pool, events.timestamps[keep])
     task_starts, task_lengths = _table(
         pool,
         [
@@ -478,13 +535,14 @@ def _assemble_jsonl(events: _RunEvents, keep: np.ndarray) -> tuple[bytes, np.nda
 
 def _window_codes(
     window: np.ndarray, firsts: np.ndarray, type_ids: np.ndarray, n_types: int
-) -> tuple[np.ndarray, list[list[int]]]:
-    """Per-window fresh-registry codes, and each window's registry.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-window fresh-registry codes, and the windows' registries.
 
     ``firsts`` indexes each window's first event.  A window numbers its
     event types in first-appearance order, as a fresh
-    :class:`~repro.trace.event.EventTypeRegistry` does; each registry is
-    returned as run-local type ids in code order.
+    :class:`~repro.trace.event.EventTypeRegistry` does.  The registries are
+    returned flat, as run-local type ids in code order window after window,
+    with each window's registry size.
     """
     keys = window * n_types + type_ids
     _, seen = np.unique(keys, return_index=True)
@@ -495,7 +553,5 @@ def _window_codes(
     rank -= np.repeat(rank[firsts], np.diff(np.append(firsts, len(keys))))
     code_of = np.zeros(int(keys.max()) + 1 if len(keys) else 0, dtype=np.int64)
     code_of[keys[fresh]] = rank[fresh]
-    in_order = type_ids[fresh].tolist()
-    bounds = np.cumsum(rank[np.append(firsts[1:], len(keys)) - 1] + 1).tolist() if len(keys) else []
-    registries = [in_order[a:b] for a, b in zip([0] + bounds[:-1], bounds)]
-    return code_of[keys], registries
+    sizes = rank[np.append(firsts[1:], len(keys)) - 1] + 1 if len(keys) else rank[:0]
+    return code_of[keys], type_ids[fresh], sizes

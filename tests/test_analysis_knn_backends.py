@@ -13,6 +13,11 @@ bit.  The suite covers:
   hypothesis-driven random instances;
 * query sets spanning several distance blocks (each row equals its solo
   query), incremental ``add_points`` versus a rebuild, pickle round-trips;
+* the filter-and-refine route: lattice pmfs with mass distance ties, tie
+  groups wider than the candidate width and magnitudes that put the filter
+  out of range (both fall back to the exact scan), reference sizes around
+  the route crossover and the candidate width for ``d`` from 1 to 64,
+  ``add_points`` across the crossover and pickled filtered indexes;
 * LOF ``partial_fit`` versus ``fit``, and monitor/fleet runs whose configs
   name a retired backend.
 """
@@ -25,8 +30,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.analysis.knn as knn_module
 from repro.analysis.fleet import ShardedTraceMonitor
-from repro.analysis.knn import _TIE_BAND_ULPS, BruteForceKnn, resolve_backend
+from repro.analysis.knn import (
+    _FILTER_MIN_WIDTHS,
+    _TIE_BAND_ULPS,
+    BruteForceKnn,
+    _candidate_width,
+    resolve_backend,
+)
 from repro.analysis.lof import LocalOutlierFactor
 from repro.analysis.model import ReferenceModel
 from repro.analysis.monitor import TraceMonitor
@@ -249,6 +261,148 @@ class TestExactness:
         distances, indices = index.query_many(queries, k=7)
         for row, query in enumerate(queries):
             solo_d, solo_i = index.query(query, k=7)
+            np.testing.assert_array_equal(indices[row], solo_i)
+            np.testing.assert_array_equal(distances[row], solo_d)
+
+
+def crossover(k: int) -> int:
+    """The largest reference size the exact scan answers alone at ``k``."""
+    return _FILTER_MIN_WIDTHS * _candidate_width(k)
+
+
+def lattice_points(seed: int, n: int, dim: int = 12, events: int = 20) -> np.ndarray:
+    """Window pmfs of ``events`` events: counts / events, full of exact ties."""
+    rng = np.random.default_rng(seed)
+    mix = rng.dirichlet(np.ones(dim) * 2.0)
+    return rng.multinomial(events, mix, size=n) / events
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """Counts the query rows that take the exact scan, whatever the route."""
+    routed = []
+    exact_block = BruteForceKnn._exact_block
+
+    def counting(self, chunk, k):
+        routed.append(len(chunk))
+        return exact_block(self, chunk, k)
+
+    monkeypatch.setattr(BruteForceKnn, "_exact_block", counting)
+    return routed
+
+
+class TestFilterRefine:
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_lattice_pmfs_match_oracle(self, k, exact_rows):
+        points = lattice_points(1, crossover(k) + 400)
+        queries = np.vstack([points[:30], lattice_points(2, 30)])
+        assert_matches_oracle(points, queries, k)
+        # Most rows are certified: the exact scan is the exception.
+        assert sum(exact_rows) < len(queries) // 2
+
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_tie_group_wider_than_width_falls_back(self, k, exact_rows):
+        rng = np.random.default_rng(3)
+        width = _candidate_width(k)
+        spread = dirichlet_points(4, crossover(k) + 50, 6)
+        tied = np.tile(spread[:1], (width + 1, 1))
+        points = np.vstack([spread, tied])[rng.permutation(len(spread) + width + 1)]
+        queries = np.vstack([spread[:1], spread[1:4]])
+        assert_matches_oracle(points, queries, k)
+        # The first query ties with width + 1 points (itself included).
+        assert sum(exact_rows) >= 1
+
+    @pytest.mark.parametrize("magnitude", [1e150, 1e154])
+    def test_huge_magnitudes_fall_back(self, magnitude, exact_rows, monkeypatch):
+        # At 1e154 the expansion itself overflows: the answer is whatever
+        # the exact scan makes of it, NaN distances included.
+        rng = np.random.default_rng(5)
+        k = 4
+        points = rng.uniform(0.5, 1.5, size=(crossover(k) + 10, 12)) * magnitude
+        queries = np.vstack([points[:3], rng.uniform(0.5, 1.5, size=(3, 12)) * magnitude])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = BruteForceKnn(points).query_many(queries, k)
+            assert sum(exact_rows) == len(queries)
+            with monkeypatch.context() as patch:
+                patch.setattr(knn_module, "_FILTER_MIN_WIDTHS", len(points))
+                want = BruteForceKnn(points).query_many(queries, k)
+            if magnitude == 1e150:
+                assert_matches_oracle(points, queries, k)
+        for got_part, want_part in zip(got, want):
+            np.testing.assert_array_equal(got_part, want_part)
+
+    def test_non_finite_queries_take_the_exact_scan(self, exact_rows):
+        points = dirichlet_points(6, crossover(3) + 10, 4)
+        queries = np.vstack([points[:2], [[np.nan, 0.5, 0.25, 0.25]]])
+        distances, indices = BruteForceKnn(points).query_many(queries, 3)
+        assert exact_rows == [1]
+        oracle_distances, oracle_indices = oracle(points, queries[:2], 3)
+        np.testing.assert_array_equal(distances[:2], oracle_distances)
+        np.testing.assert_array_equal(indices[:2], oracle_indices)
+        assert np.isnan(distances[2]).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12, 29, 64])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 300])
+    def test_sizes_around_the_crossover(self, dim, offset):
+        k = 6
+        n = crossover(k) + offset
+        points = dirichlet_points(dim * 100 + offset, n, dim)
+        if dim > 1:
+            # Duplicates and near-ties straddle the k-th position.
+            points[n // 2 : n // 2 + 40] = points[:40]
+        queries = np.vstack([points[:8], dirichlet_points(dim + 7, 8, dim)])
+        for k_query in (1, k, 2 * k):
+            assert_matches_oracle(points, queries, k_query)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_sizes_around_the_candidate_width(self, extra):
+        k = 5
+        n = _candidate_width(k) + extra
+        points = lattice_points(7, n)
+        queries = np.vstack([points[:6], lattice_points(8, 6)])
+        for k_query in k_values(n):
+            assert_matches_oracle(points, queries, k_query)
+
+    def test_add_points_after_queries(self):
+        k = 5
+        full = lattice_points(9, crossover(k) * 2)
+        queries = np.vstack([full[:10], lattice_points(10, 10)])
+        # Start on the exact route, grow across the crossover, keep growing.
+        index = BruteForceKnn(full[: crossover(k) // 2])
+        for stop in (crossover(k) + 1, crossover(k) + 200, len(full)):
+            index.query_many(queries, k)
+            index.add_points(full[index.n_points : stop])
+            assert index.n_points == stop
+            rebuilt = BruteForceKnn(full[:stop])
+            for got, want in zip(index.query_many(queries, k), rebuilt.query_many(queries, k)):
+                np.testing.assert_array_equal(got, want)
+            assert_matches_oracle(full[:stop], queries, k)
+
+    def test_filtered_index_survives_pickle(self):
+        k = 20
+        points = lattice_points(11, crossover(k) + 100)
+        queries = lattice_points(12, 25)
+        index = BruteForceKnn(points)
+        before = index.query_many(queries, k)
+        clone = pickle.loads(pickle.dumps(index))
+        for got, want in zip(clone.query_many(queries, k), before):
+            np.testing.assert_array_equal(got, want)
+        extra = lattice_points(13, 50)
+        index.add_points(extra)
+        clone.add_points(extra)
+        for got, want in zip(clone.query_many(queries, k), index.query_many(queries, k)):
+            np.testing.assert_array_equal(got, want)
+        assert_matches_oracle(np.vstack([points, extra]), queries, k)
+
+    def test_filtered_blocks_equal_solo_queries(self, monkeypatch):
+        k = 5
+        points = lattice_points(14, crossover(k) + 10)
+        queries = np.vstack([lattice_points(15, 13), points[:5]])
+        index = BruteForceKnn(points)
+        monkeypatch.setattr(BruteForceKnn, "_BLOCK_ELEMENTS", 4 * len(points))
+        distances, indices = index.query_many(queries, k)
+        for row, query in enumerate(queries):
+            solo_d, solo_i = index.query(query, k)
             np.testing.assert_array_equal(indices[row], solo_i)
             np.testing.assert_array_equal(distances[row], solo_d)
 

@@ -509,9 +509,17 @@ def oracle_json_decode(text, on_corrupt="raise", hint=""):
             raise TraceFormatError(
                 f"event field outside the int64 range at line {line_no}: {record!r}"
             )
+        try:
+            task_length = len(task.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            if on_corrupt == "skip":
+                corrupt.append(line_no)
+                continue
+            raise TraceFormatError(
+                f"task not encodable as UTF-8 at line {line_no}: {record!r}"
+            ) from exc
         if etype not in names:
             names.append(etype)
-        task_length = len(task.encode("utf-8"))
         payload = (
             len(json.dumps(args, sort_keys=True, separators=(",", ":")))
             if args
@@ -597,6 +605,8 @@ ADVERSARIAL = {
     "truncated": ['{"t":6,"type":"a"'],
     "bad_escape": ['{"t":6,"type":"a\\q"}'],
     "rejected_type_not_registered": ['{"t":-3,"type":"never"}', '{"t":6,"type":"late"}'],
+    "lone_surrogate_task": ['{"t":6,"type":"never","task":"\\ud800"}', '{"t":7,"type":"a"}'],
+    "lone_surrogate_type_and_payload": ['{"t":6,"type":"\\udc80","args":{"x":"\\ud800"}}'],
 }
 
 
@@ -671,6 +681,22 @@ def test_object_reader_rejects_int64_overflow(tmp_path, name):
         read_trace(path)
     with pytest.raises(TraceFormatError, match="outside the int64 range at line 3"):
         read_trace_columns(path)
+
+
+def test_lone_surrogate_task_is_a_format_error_naming_the_line():
+    text = adversarial_text("lone_surrogate_task")
+    with pytest.raises(TraceFormatError, match="not encodable as UTF-8 at line 3"):
+        decode_json_columns(text)
+    decoder = JsonColumnsDecoder()
+    with pytest.raises(TraceFormatError, match="not encodable as UTF-8 at line 3"):
+        decoder.feed(text.encode("utf-8"))
+    decoder = JsonColumnsDecoder(on_corrupt="skip")
+    parts = [decoder.feed(text.encode("utf-8")), decoder.finish()]
+    assert decoder.corrupt_offsets == (3,)
+    # The quarantined line registers no event type.
+    assert "never" not in decoder.type_names
+    timestamps = np.concatenate([part.timestamps_us for part in parts])
+    assert timestamps.tolist() == [0, 5, 7, 90]
 
 
 def test_skip_mode_quarantines_int64_overflow_and_keeps_later_records():
