@@ -47,9 +47,13 @@ products that underflow), in ascending index order, and refines: only
 those candidates get the exact expression and the ``(distance, index)``
 selection, so the answer is the exact scan's bit for bit.  A row the
 filter cannot certify takes the exact scan: a query whose ``S`` is out of
-range (the filter could overflow, or its norms underflow; non-finite
-queries included), or one with more candidates than the width (mass ties,
-e.g. duplicated points).
+range (the filter could overflow, or its norms underflow), or one with
+more candidates than the width (mass ties, e.g. duplicated points).
+
+Queries must be finite and keep ``S`` finite: otherwise the expansion can
+give NaN distances, which no ``(distance, index)`` order ranks, so
+:meth:`BruteForceKnn.query_many` raises :class:`~repro.errors.ModelError`
+(points are checked when they are indexed).
 """
 
 from __future__ import annotations
@@ -217,7 +221,6 @@ class BruteForceKnn:
         n_points, dim = self.points.shape
         query_sq = np.einsum("ij,ij->i", chunk, chunk)
         scale = (np.sqrt(query_sq) + max_norm) ** 2
-        # NaN scales (non-finite queries) fail both comparisons.
         rows = np.flatnonzero((scale >= _MIN_SCALE) & (scale <= _MAX_SCALE))
         distances = np.empty((len(chunk), k))
         indices = np.empty((len(chunk), k), dtype=int)
@@ -316,6 +319,20 @@ class BruteForceKnn:
             )
         if k <= 0:
             raise ModelError("k must be positive")
+        if not np.all(np.isfinite(queries)):
+            raise ModelError("queries must be finite")
+        # (|q| + max|p|)^2 bounds every term of the distance expansion; past
+        # the float range the expansion can give inf - inf = NaN distances,
+        # which no (distance, index) order can rank.
+        with np.errstate(over="ignore"):
+            scale = (
+                np.sqrt(np.einsum("ij,ij->i", queries, queries))
+                + np.sqrt(self._sq_norms.max())
+            ) ** 2
+        if not np.all(np.isfinite(scale)):
+            raise ModelError(
+                "query and point magnitudes overflow the squared distances"
+            )
         return queries
 
 

@@ -308,8 +308,13 @@ class JsonTraceCodec:
         return "\n".join(self.encode_event(event) for event in events)
 
     def decode(self, text: str) -> Iterator[TraceEvent]:
-        """Decode the output of :meth:`encode` lazily."""
-        for line in text.splitlines():
+        """Decode the output of :meth:`encode` lazily.
+
+        Lines end at ``"\\n"`` only, as in the columnar decoders:
+        ``str.splitlines`` would also break at characters such as U+2028
+        or U+0085, which a JSON string may hold raw.
+        """
+        for line in text.split("\n"):
             line = line.strip()
             if line:
                 yield self.decode_event(line)
@@ -318,9 +323,11 @@ class JsonTraceCodec:
         """Decode a JSON-lines trace straight into flat arrays.
 
         Returns a :class:`~repro.trace.columns.TraceColumns` equivalent to
-        materialising every line with :meth:`decode_event` — one
-        ``json.loads`` per line, but no :class:`TraceEvent` objects on the
-        hot path.
+        materialising every line with :meth:`decode_event`, but with no
+        :class:`TraceEvent` objects on the hot path: blocks of lines in the
+        exact form :meth:`encode_event` writes are proved by one regular
+        expression match and their fields gathered with NumPy; any other
+        line is parsed on its own by the JSON scanner.
         """
         from .columns import decode_json_columns
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import re
 import struct
 from itertools import chain
 from typing import Any, Callable, Iterable, Sequence, Tuple
@@ -365,9 +366,10 @@ def decode_json_columns(text: str) -> TraceColumns:
     """Decode a JSON-lines trace into columns.
 
     The one-shot form of :class:`JsonColumnsDecoder`: the whole text is
-    parsed by the same per-line kernel as its final chunk, so no
-    :class:`TraceEvent` is built and nothing but one C-scanner call and a
-    few field checks runs per event.  Empty lines are skipped exactly as
+    parsed as its final chunk, so no :class:`TraceEvent` is built.  Blocks
+    of lines in the form :meth:`JsonTraceCodec.encode_event` writes are
+    proved and gathered with NumPy; other blocks cost one C-scanner call
+    and a few field checks per line.  Empty lines are skipped exactly as
     the object reader does; a malformed line raises with its 1-based line
     number.
     """
@@ -1017,24 +1019,82 @@ class JsonColumnsDecoder:
     def _parse(self, text: str, final: bool, hint: str = "") -> TraceColumns:
         """The JSON-lines kernel: decode the complete lines of ``text``.
 
-        Each stripped line is parsed by one C-scanner call that must consume
-        the whole line.  Anything else — a scan failure, trailing data —
-        re-parses the line with ``json.loads`` so the error (and its
-        message) is exactly the per-line one.  Payload lengths come from
-        the reused compact encoder and are sized into varint fields once
-        per chunk.
+        The complete lines are taken in blocks of at most
+        ``_JSON_BLOCK_CHARS`` characters.  A block that
+        :func:`_proved_block` proves canonical (every line exactly as
+        :meth:`~repro.trace.codec.JsonTraceCodec.encode_event` writes it)
+        has its columns gathered with NumPy; any other block, a line longer
+        than a block and a final unterminated line go through
+        :meth:`_parse_lines`, the one per-line parser, which alone raises,
+        quarantines and numbers corrupt lines.  An odd line therefore costs
+        only its own block, and the result is the same either way.
         """
-        raw_lines = text.split("\n")
-        if not final:
-            # ``text`` is empty or newline-terminated: the final split
-            # element is the empty string after the last newline, not a line.
+        body = text.rfind("\n") + 1  # complete lines end here
+        parts: list[tuple[np.ndarray, ...]] = []
+        position = 0
+        while position < body:
+            end = text.rfind("\n", position, position + _JSON_BLOCK_CHARS) + 1
+            if end == 0:  # one line longer than a block
+                end = text.index("\n", position) + 1
+                proved = None
+            else:
+                proved = _proved_block(text[position:end], position, self._register)
+            if proved is None:
+                parts.append(self._parse_lines(text, position, end, hint))
+            else:
+                self._lines_done += len(proved[0])
+                parts.append(proved)
+            position = end
+        if final:  # the unterminated last line, empty or not, is a line
+            parts.append(self._parse_lines(text, body, len(text), hint))
+        timestamps, codes, cores, tasks, payload, starts, ends = (
+            np.concatenate([part[i] for part in parts]) if parts else np.empty(0, dtype)
+            for i, dtype in enumerate(_JSON_DTYPES)
+        )
+        return TraceColumns(
+            timestamps_us=timestamps,
+            type_codes=codes,
+            cores=cores,
+            type_names=tuple(self._names),
+            static_sizes=1 + tasks + varint_size_array(payload) + payload,
+            source_kind="jsonl",
+            text=text,
+            line_starts=starts,
+            line_ends=ends,
+        )
+
+    def _register(self, name: str) -> int:
+        """The global code of event type ``name``, registering it if new."""
+        code = self._name_codes.get(name)
+        if code is None:
+            code = len(self._names)
+            self._name_codes[name] = code
+            self._names.append(name)
+        return code
+
+    def _parse_lines(
+        self, text: str, start: int, stop: int, hint: str
+    ) -> tuple[np.ndarray, ...]:
+        """Parse ``text[start:stop]`` line by line (the exact path).
+
+        The span is complete newline-terminated lines, or the final
+        unterminated line.  Each stripped line is parsed by one C-scanner
+        call that must consume the whole line.  Anything else — a scan
+        failure, trailing data — re-parses the line with ``json.loads`` so
+        the error (and its message) is exactly the per-line one.  Payload
+        lengths come from the reused compact encoder.  Returns the span's
+        :data:`_JSON_DTYPES` columns.
+        """
+        raw_lines = text[start:stop].split("\n")
+        if stop > start and text[stop - 1] == "\n":
+            # The final split element is the empty string after the last
+            # newline, not a line.
             raw_lines.pop()
         scan = _SCAN_ONCE
         encode = _compact_json
         skip = self._on_corrupt == "skip"
         corrupt = self._corrupt_lines
-        name_codes = self._name_codes
-        names = self._names
+        register = self._register
         task_cache = self._task_cache
         timestamps: list[int] = []
         codes: list[int] = []
@@ -1044,11 +1104,11 @@ class JsonColumnsDecoder:
         line_starts: list[int] = []
         line_ends: list[int] = []
         line_no = self._lines_done
-        position = 0
+        position = start
         try:
             for raw in raw_lines:
                 line_no += 1
-                start = position
+                begin = position
                 position += len(raw) + 1
                 line = raw.strip()
                 if not line:
@@ -1109,42 +1169,200 @@ class JsonColumnsDecoder:
                     raise TraceFormatError(
                         f"task not encodable as UTF-8 at line {line_no}: {record!r}"
                     ) from exc
-                code = name_codes.get(etype)
-                if code is None:
-                    code = len(names)
-                    name_codes[etype] = code
-                    names.append(etype)
                 timestamps.append(timestamp)
-                codes.append(code)
+                codes.append(register(etype))
                 cores.append(core)
                 task_fields.append(task_field)
                 payload_lengths.append(len(encode(args)) if args else 0)
                 if len(line) == len(raw):
-                    line_starts.append(start)
+                    line_starts.append(begin)
                     line_ends.append(position - 1)
                 else:
-                    lead = start + len(raw) - len(raw.lstrip())
+                    lead = begin + len(raw) - len(raw.lstrip())
                     line_starts.append(lead)
                     line_ends.append(lead + len(line))
         finally:
             self._lines_done = line_no
-        payload = np.array(payload_lengths, dtype=np.int64)
-        return TraceColumns(
-            timestamps_us=np.array(timestamps, dtype=np.int64),
-            type_codes=np.array(codes, dtype=np.int32),
-            cores=np.array(cores, dtype=np.int64),
-            type_names=tuple(names),
-            static_sizes=(
-                1
-                + np.array(task_fields, dtype=np.int64)
-                + varint_size_array(payload)
-                + payload
-            ),
-            source_kind="jsonl",
-            text=text,
-            line_starts=np.array(line_starts, dtype=np.int64),
-            line_ends=np.array(line_ends, dtype=np.int64),
+        return tuple(
+            np.array(column, dtype=dtype)
+            for column, dtype in zip(
+                (
+                    timestamps,
+                    codes,
+                    cores,
+                    task_fields,
+                    payload_lengths,
+                    line_starts,
+                    line_ends,
+                ),
+                _JSON_DTYPES,
+            )
         )
+
+
+# ---------------------------------------------------------------------- #
+# The JSON-lines block kernel
+# ---------------------------------------------------------------------- #
+#: Dtypes of the JSON-lines decode's per-line columns: timestamps, type
+#: codes, cores, task field sizes, payload lengths, line starts, line ends.
+_JSON_DTYPES = (np.int64, np.int32, np.int64, np.int64, np.int64, np.int64, np.int64)
+
+#: Most characters one block proof covers.  The match's backtracking state
+#: grows with the lines it covers (~0.9 MB for a 64 KB block, ~13 MB for a
+#: whole 1 MB chunk), so blocks keep it and the gathers' temporaries small.
+_JSON_BLOCK_CHARS = 1 << 16
+
+#: Longest type name or payload key a proved line holds: bounds the
+#: fixed-width byte matrices that type codes and key order come from.
+_JSON_NAME_CHARS = 64
+
+#: A JSON string of printable ASCII with no ``"`` or ``\``: exactly the
+#: strings the compact encoder writes back unchanged.
+_PLAIN_STRING = rb'"[ !#-\[\]-~]*"'
+_NAME_STRING = rb'"[ !#-\[\]-~]{0,%d}"' % _JSON_NAME_CHARS
+#: A decimal integer of 1-18 digits with no leading zero: it fits int64.
+_UINT18 = rb"(?:0|[1-9][0-9]{0,17})"
+#: A payload member whose value the compact encoder writes back unchanged
+#: (so no ``-0``, no leading zeros, no floats, literals or containers).
+_MEMBER = _NAME_STRING + rb":(?:" + _PLAIN_STRING + rb"|-?[1-9][0-9]{0,17}|0)"
+
+#: One or more lines in the exact form ``JsonTraceCodec.encode_event``
+#: writes: top-level keys in sorted order, compact separators, a flat
+#: payload, names of at most ``_JSON_NAME_CHARS`` characters.  Uses
+#: no atomic groups or possessive quantifiers (Python 3.10 has neither).
+_CANONICAL_LINES = re.compile(
+    rb'(?:\{"args":\{(?:' + _MEMBER + rb"(?:," + _MEMBER + rb")*)?\}"
+    rb',"core":' + _UINT18
+    + rb',"t":' + _UINT18
+    + rb',"task":' + _PLAIN_STRING
+    + rb',"type":' + _NAME_STRING
+    + rb"\}\n)+"
+)
+
+#: Offsets of the (at most) 18 bytes before an integer's end, and their
+#: decimal weights.  Every proved integer is preceded by at least 18 bytes
+#: of its line (``{"args":{},"core":``), so the offsets stay in the block.
+_DIGIT_OFFSETS = np.arange(-18, 0, dtype=np.int64)
+_DIGIT_WEIGHTS = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+
+_QUOTE, _COLON, _NEWLINE = ord('"'), ord(":"), ord("\n")
+
+
+def _proved_block(
+    block: str, offset: int, register: Callable[[str], int]
+) -> tuple[np.ndarray, ...] | None:
+    """Columns of a block of canonical JSON lines; ``None`` if unproved.
+
+    ``block`` is complete newline-terminated lines.  One
+    :data:`_CANONICAL_LINES` match proves every line canonical; the kernel
+    also proves each payload's keys strictly ascending, so the payload's
+    text is what the compact, key-sorted encoder writes and its length is
+    the payload length.  The fields then sit at fixed distances from the
+    block's quotes (no string holds one), and NumPy gathers them for all
+    lines at once.  New type names are passed to ``register`` in
+    first-appearance order.  Returns the :data:`_JSON_DTYPES` columns; the
+    line spans are shifted by ``offset``, the block's position in its text.
+    """
+    if not block.isascii():
+        return None
+    data = block.encode("ascii")
+    if _CANONICAL_LINES.fullmatch(data) is None:
+        return None
+    view = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(view == _NEWLINE)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    quotes = np.flatnonzero(view == _QUOTE)
+    # Per line, counted back from its last quote (the type's closing one):
+    # type value, "type", task value, "task", "t", "core" (two quotes each).
+    last = np.searchsorted(quotes, ends) - 1
+    if not _keys_ascending(view, quotes, last, ends):
+        return None
+    payload = quotes[last - 11] - 1 - (starts + 8)  # '{"args":' to ',"core"'
+    payload[payload == 2] = 0  # "{}": no payload
+    task_lengths = quotes[last - 4] - quotes[last - 5] - 1
+    return (
+        _gather_uints(view, quotes[last - 8] + 2, quotes[last - 7] - 1),
+        _type_codes(view, quotes[last - 1] + 1, quotes[last], register),
+        _gather_uints(view, quotes[last - 10] + 2, quotes[last - 9] - 1),
+        1 + _extra_varint_bytes(task_lengths) + task_lengths,
+        payload,
+        starts + offset,
+        ends + offset,
+    )
+
+
+def _gather_uints(view: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Values of the proved 1-18 digit integers at ``[starts, ends)``."""
+    lengths = ends - starts
+    width = int(lengths.max())
+    offsets = _DIGIT_OFFSETS[-width:]
+    window = view[ends[:, None] + offsets].astype(np.int64)
+    window -= ord("0")
+    window[offsets < -lengths[:, None]] = 0  # bytes before the integer
+    return window @ _DIGIT_WEIGHTS[-width:]
+
+
+def _gather_names(view: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The proved names at ``[starts, ends)`` as one fixed-width bytes array.
+
+    Shorter names are padded with NUL bytes, which no name holds, so the
+    array compares and sorts exactly like the names themselves.
+    """
+    width = max(int((ends - starts).max()), 1)  # at most _JSON_NAME_CHARS
+    at = starts[:, None] + np.arange(width)
+    matrix = view[np.minimum(at, len(view) - 1)]
+    matrix[at >= ends[:, None]] = 0
+    return matrix.view(f"S{width}").ravel()
+
+
+def _type_codes(
+    view: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    register: Callable[[str], int],
+) -> np.ndarray:
+    """Global codes of the type names at ``[starts, ends)``.
+
+    Each distinct name is looked up (and new ones registered) once, in
+    order of first appearance.
+    """
+    names, first, inverse = np.unique(
+        _gather_names(view, starts, ends), return_index=True, return_inverse=True
+    )
+    codes = np.empty(len(names), dtype=np.int32)
+    for unique in np.argsort(first):
+        codes[unique] = register(names[unique].decode("ascii"))
+    return codes[inverse.ravel()]
+
+
+def _keys_ascending(
+    view: np.ndarray, quotes: np.ndarray, last: np.ndarray, ends: np.ndarray
+) -> bool:
+    """Whether every proved line's payload keys are strictly ascending.
+
+    A line's payload members hold its quotes after the two of ``"args"``
+    and before the twelve of ``"core"``, ``"t"``, ``"task"``, ``"type"``
+    and the task and type values.  A closing quote (every second one)
+    followed by ``:`` ends a key.
+    """
+    firsts = np.empty_like(last)
+    firsts[0] = 0
+    firsts[1:] = last[:-1] + 1
+    bounds = np.zeros(len(quotes) + 1, dtype=np.int64)
+    bounds[firsts + 2] += 1
+    bounds[last - 11] -= 1
+    member = np.cumsum(bounds[:-1]) > 0
+    closing = quotes[1::2]
+    key_ends = np.flatnonzero(member[1::2] & (view[closing + 1] == _COLON))
+    if len(key_ends) < 2:
+        return True
+    key_ends = 2 * key_ends + 1  # indices into quotes
+    keys = _gather_names(view, quotes[key_ends - 1] + 1, quotes[key_ends])
+    line = np.searchsorted(ends, quotes[key_ends])
+    same_object = line[1:] == line[:-1]
+    return not np.any(same_object & (keys[1:] <= keys[:-1]))
 
 
 # ---------------------------------------------------------------------- #

@@ -312,34 +312,53 @@ class TestFilterRefine:
         # The first query ties with width + 1 points (itself included).
         assert sum(exact_rows) >= 1
 
-    @pytest.mark.parametrize("magnitude", [1e150, 1e154])
-    def test_huge_magnitudes_fall_back(self, magnitude, exact_rows, monkeypatch):
-        # At 1e154 the expansion itself overflows: the answer is whatever
-        # the exact scan makes of it, NaN distances included.
+    def test_huge_magnitudes_fall_back(self, exact_rows, monkeypatch):
+        # At 1e150 the filter could overflow: every row takes the exact scan.
         rng = np.random.default_rng(5)
         k = 4
+        magnitude = 1e150
         points = rng.uniform(0.5, 1.5, size=(crossover(k) + 10, 12)) * magnitude
         queries = np.vstack([points[:3], rng.uniform(0.5, 1.5, size=(3, 12)) * magnitude])
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = BruteForceKnn(points).query_many(queries, k)
-            assert sum(exact_rows) == len(queries)
-            with monkeypatch.context() as patch:
-                patch.setattr(knn_module, "_FILTER_MIN_WIDTHS", len(points))
-                want = BruteForceKnn(points).query_many(queries, k)
-            if magnitude == 1e150:
-                assert_matches_oracle(points, queries, k)
+        got = BruteForceKnn(points).query_many(queries, k)
+        assert sum(exact_rows) == len(queries)
+        with monkeypatch.context() as patch:
+            patch.setattr(knn_module, "_FILTER_MIN_WIDTHS", len(points))
+            want = BruteForceKnn(points).query_many(queries, k)
+        assert_matches_oracle(points, queries, k)
         for got_part, want_part in zip(got, want):
             np.testing.assert_array_equal(got_part, want_part)
 
-    def test_non_finite_queries_take_the_exact_scan(self, exact_rows):
+    @pytest.mark.parametrize("scaled", ["queries", "points"])
+    def test_overflowing_magnitudes_are_rejected(self, scaled):
+        # At 1e154 in 12 dimensions the expansion itself overflows into NaN
+        # distances, which break the (distance, index) order.
+        rng = np.random.default_rng(5)
+        k = 4
+        points = rng.uniform(0.5, 1.5, size=(crossover(k) + 10, 12))
+        queries = rng.uniform(0.5, 1.5, size=(3, 12))
+        if scaled == "points":
+            points *= 1e154
+        else:
+            queries[1] *= 1e154
+        index = BruteForceKnn(points)
+        with pytest.raises(ModelError, match="overflow the squared distances"):
+            index.query_many(queries, k)
+        with pytest.raises(ModelError, match="overflow the squared distances"):
+            index.query(queries[1], k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_are_rejected(self, bad, exact_rows):
         points = dirichlet_points(6, crossover(3) + 10, 4)
-        queries = np.vstack([points[:2], [[np.nan, 0.5, 0.25, 0.25]]])
-        distances, indices = BruteForceKnn(points).query_many(queries, 3)
-        assert exact_rows == [1]
+        queries = np.vstack([points[:2], [[bad, 0.5, 0.25, 0.25]]])
+        index = BruteForceKnn(points)
+        with pytest.raises(ModelError, match="queries must be finite"):
+            index.query_many(queries, 3)
+        assert exact_rows == []
+        # The finite rows alone still match the oracle.
+        distances, indices = index.query_many(queries[:2], 3)
         oracle_distances, oracle_indices = oracle(points, queries[:2], 3)
-        np.testing.assert_array_equal(distances[:2], oracle_distances)
-        np.testing.assert_array_equal(indices[:2], oracle_indices)
-        assert np.isnan(distances[2]).all()
+        np.testing.assert_array_equal(distances, oracle_distances)
+        np.testing.assert_array_equal(indices, oracle_indices)
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 12, 29, 64])
     @pytest.mark.parametrize("offset", [-1, 0, 1, 300])

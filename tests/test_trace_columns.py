@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro.trace.columns as columns_module
 from repro.analysis.model import ReferenceModel
 from repro.errors import ModelError, TraceFormatError, TraceStreamError
 from repro.trace.batch import LazyWindowRef, WindowBatch, batch_windows
@@ -31,6 +34,8 @@ from repro.trace.codec import (
 )
 from repro.trace.columns import (
     _BLOCK_RECORDS,
+    _JSON_BLOCK_CHARS,
+    _PARTIAL_LINE_HINT,
     BinaryColumnsDecoder,
     JsonColumnsDecoder,
     TraceColumns,
@@ -706,6 +711,224 @@ def test_skip_mode_quarantines_int64_overflow_and_keeps_later_records():
     assert decoder.corrupt_offsets == (3,)
     timestamps = np.concatenate([part.timestamps_us for part in parts])
     assert timestamps.tolist() == [0, 5, 90]
+
+
+def test_json_readers_split_lines_only_at_newlines(tmp_path):
+    """U+2028, U+2029 and U+0085 may stand raw inside JSON strings; every
+    JSON-lines reader keeps them in the field instead of ending the line."""
+    text = (
+        '{"args":{"note":"a\u0085b"},"core":1,"t":5,"task":"dec\u2028oder","type":"x"}\n'
+        '{"args":{},"core":0,"t":6,"task":"p\u2029q","type":"y\u0085z"}\n'
+    )
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    expected = [
+        TraceEvent(5, "x", 1, "dec\u2028oder", {"note": "a\u0085b"}),
+        TraceEvent(6, "y\u0085z", 0, "p\u2029q", {}),
+    ]
+    assert list(JsonTraceCodec().decode(text)) == expected
+    assert list(decode_json_columns(text).to_events()) == expected
+    assert read_trace(path) == expected
+    assert list(read_trace_columns(path).to_events()) == expected
+
+
+# ---------------------------------------------------------------------- #
+# The JSON-lines block kernel against the per-line loop
+# ---------------------------------------------------------------------- #
+#: Strings the compact encoder writes back unchanged, several holding the
+#: JSON structure characters the kernel's quote arithmetic must not see.
+PLAIN_STRINGS = ["", "x", ":x", "a,b", "{}", "[1]", "}", " sp ace ", "~!#$%&'()*+-./;<=>?@[]^_`|"]
+#: Payload keys, including the line's own top-level keys and the longest
+#: key the kernel proves.
+PAYLOAD_KEYS = ["", "a", "args", "b", "core", "frame", "t", "task", "type", "k" * 64]
+KERNEL_TYPES = ["", "alpha", "beta", "gamma:", "t" * 64]
+KERNEL_TASKS = ["", "dec", ":", "a,b}"]
+
+
+def canonical_lines(n_lines, seed=0):
+    """JSON lines exactly as ``JsonTraceCodec.encode_event`` writes them,
+    all in the form the block kernel proves."""
+    rng = random.Random(seed)
+    codec = JsonTraceCodec()
+    lines = []
+    for _ in range(n_lines):
+        args = {
+            key: rng.choice(
+                [
+                    rng.choice(PLAIN_STRINGS),
+                    0,
+                    rng.randint(-(10**18) + 1, 10**18 - 1),
+                    rng.randint(-9, 9),
+                ]
+            )
+            for key in rng.sample(PAYLOAD_KEYS, rng.randint(0, 3))
+        }
+        event = TraceEvent(
+            timestamp_us=rng.choice([0, rng.randint(0, 10**6), 10**18 - 1]),
+            etype=rng.choice(KERNEL_TYPES),
+            core=rng.choice([0, rng.randint(0, 300), 10**18 - 1]),
+            task=rng.choice(KERNEL_TASKS),
+            args=args,
+        )
+        lines.append(codec.encode_event(event))
+    return lines
+
+
+def near_canonical(args='{"a":1}', core="0", t="7", task='"dec"', etype='"odd"'):
+    return f'{{"args":{args},"core":{core},"t":{t},"task":{task},"type":{etype}}}'
+
+
+#: Lines one character or one rule away from the proved form.  Each stands
+#: in the middle of a canonical block; all but :data:`PROVED_NEAR_CANONICAL`
+#: must send their block through the per-line loop.
+NEAR_CANONICAL = {
+    "duplicate_keys": near_canonical(args='{"a":1,"a":2}'),
+    "unsorted_keys": near_canonical(args='{"b":1,"a":2}'),
+    "prefix_keys_unsorted": near_canonical(args='{"ab":1,"a":2}'),
+    "negative_zero_arg": near_canonical(args='{"a":-0}'),
+    "leading_zero_arg": near_canonical(args='{"a":01}'),
+    "arg_19_digits": near_canonical(args='{"a":1000000000000000000}'),
+    "t_19_digits": near_canonical(t="1000000000000000000"),
+    "t_int64_overflow": near_canonical(t=str(2**63)),
+    "t_negative": near_canonical(t="-5"),
+    "t_leading_zero": near_canonical(t="07"),
+    "t_float": near_canonical(t="7.0"),
+    "core_negative": near_canonical(core="-1"),
+    "core_leading_zero": near_canonical(core="00"),
+    "float_arg": near_canonical(args='{"a":1.5}'),
+    "exponent_arg": near_canonical(args='{"a":1e3}'),
+    "true_arg": near_canonical(args='{"a":true}'),
+    "null_arg": near_canonical(args='{"a":null}'),
+    "nested_args": near_canonical(args='{"a":{"b":1}}'),
+    "list_arg": near_canonical(args='{"a":[1]}'),
+    "empty_args": near_canonical(args="{}"),
+    "missing_args": '{"core":0,"t":7,"task":"dec","type":"odd"}',
+    "unsorted_top_level": '{"core":0,"args":{},"t":7,"task":"dec","type":"odd"}',
+    "spaced_separators": '{"args": {}, "core": 0, "t": 7, "task": "dec", "type": "odd"}',
+    "escaped_quote": near_canonical(task='"a\\"b"'),
+    "escaped_newline": near_canonical(args='{"a":"x\\ny"}'),
+    "unicode_escape": near_canonical(etype='"\\u00e9"'),
+    "non_ascii_task": near_canonical(task='"décodeur"'),
+    "non_ascii_key": near_canonical(args='{"ü":1}'),
+    "delete_char": near_canonical(args='{"a":"x\x7fy"}'),
+    "control_char": near_canonical(task='"a\x01b"'),
+    "long_type": near_canonical(etype='"' + "y" * 65 + '"'),
+    "long_key": near_canonical(args='{"' + "k" * 65 + '":1}'),
+    "longest_names": near_canonical(
+        args='{"' + "k" * 64 + '":1}', etype='"' + "y" * 64 + '"'
+    ),
+    "crlf": near_canonical() + "\r",
+    "blank": "",
+    "whitespace_only": " \t ",
+    "indented": "  " + near_canonical(),
+    "trailing_space": near_canonical() + " ",
+    "truncated": near_canonical()[:-1],
+    "not_json": "garbage",
+}
+
+PROVED_NEAR_CANONICAL = {"empty_args", "longest_names"}
+
+#: Enough canonical lines for several kernel blocks.
+KERNEL_LINES = canonical_lines(1500)
+
+
+def kernel_text(odd):
+    middle = len(KERNEL_LINES) // 2
+    return "\n".join(KERNEL_LINES[:middle] + [odd] + KERNEL_LINES[middle:]) + "\n"
+
+
+def run_json_decoder(text, on_corrupt, chunk):
+    """Every observable of one decode: result (or error), resume line,
+    type table and quarantined lines.  ``chunk=None`` is the one-shot
+    decode."""
+    decoder = JsonColumnsDecoder(on_corrupt=on_corrupt)
+    parts = []
+    try:
+        if chunk is None:
+            parts.append(decoder._parse(text, final=True, hint=_PARTIAL_LINE_HINT))
+        else:
+            data = text.encode("utf-8")
+            for start in range(0, len(data), chunk):
+                parts.append(decoder.feed(data[start : start + chunk]))
+            parts.append(decoder.finish())
+        result = ("ok", column_rows(parts))
+    except TraceFormatError as exc:
+        result = ("error", type(exc), str(exc))
+    return result, decoder.resume_line, decoder.type_names, decoder.corrupt_offsets
+
+
+@pytest.fixture
+def proved_blocks(monkeypatch):
+    """Records, per block the kernel tried, whether its proof held."""
+    outcomes = []
+    proved_block = columns_module._proved_block
+
+    def recording(block, offset, register):
+        proved = proved_block(block, offset, register)
+        outcomes.append(proved is not None)
+        return proved
+
+    monkeypatch.setattr(columns_module, "_proved_block", recording)
+    return outcomes
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_CANONICAL))
+@pytest.mark.parametrize("on_corrupt", ["raise", "skip"])
+@pytest.mark.parametrize("chunk", [None, 211, 1 << 20], ids=["one-shot", "211B", "1MB"])
+def test_block_kernel_matches_per_line_loop(
+    name, on_corrupt, chunk, proved_blocks, monkeypatch
+):
+    text = kernel_text(NEAR_CANONICAL[name])
+    got = run_json_decoder(text, on_corrupt, chunk)
+    tried = list(proved_blocks)
+    with monkeypatch.context() as patch:
+        patch.setattr(columns_module, "_CANONICAL_LINES", re.compile(rb"(?!)"))
+        expected = run_json_decoder(text, on_corrupt, chunk)
+    assert got == expected
+    if chunk is None:
+        # An odd line costs only its own block.
+        assert tried.count(False) == (0 if name in PROVED_NEAR_CANONICAL else 1)
+        assert tried.count(True) >= 1
+    if on_corrupt == "raise" and expected[0][0] == "ok":
+        oracle_rows = oracle_json_decode(text)[0]
+        assert [row[:5] for row in oracle_rows] == [
+            row[:5] for row in column_rows([decode_json_columns(text)])
+        ]
+
+
+def test_block_kernel_proves_canonical_text(proved_blocks):
+    text = "\n".join(KERNEL_LINES) + "\n"
+    assert len(text) > 2 * _JSON_BLOCK_CHARS
+    rows, names, corrupt = oracle_json_decode(text)
+    columns = decode_json_columns(text)
+    assert column_rows([columns]) == rows
+    assert list(columns.type_names) == names
+    assert proved_blocks and all(proved_blocks)
+
+
+def test_block_kernel_feed_memory_stays_near_the_loop(monkeypatch):
+    """One feed of a ~1 MB canonical chunk keeps its traced peak within
+    1 MB of the per-line loop's on the same chunk: a proof over the whole
+    chunk at once would hold ~13 MB of regex backtracking state."""
+    lines = KERNEL_LINES * (1 + (1 << 20) // len("\n".join(KERNEL_LINES)))
+    data = ("\n".join(lines) + "\n").encode("ascii")
+    assert len(data) >= 1 << 20
+
+    def feed_peak():
+        JsonColumnsDecoder().feed(data[:4096])  # warm caches outside the trace
+        decoder = JsonColumnsDecoder()
+        tracemalloc.start()
+        try:
+            decoder.feed(data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kernel_peak = feed_peak()
+    with monkeypatch.context() as patch:
+        patch.setattr(columns_module, "_CANONICAL_LINES", re.compile(rb"(?!)"))
+        loop_peak = feed_peak()
+    assert kernel_peak <= loop_peak + (1 << 20), (kernel_peak, loop_peak)
 
 
 # ---------------------------------------------------------------------- #
